@@ -7,9 +7,11 @@
 #include "collector/Collector.h"
 
 #include "support/ByteOutput.h"
+#include "support/MpscChunkQueue.h"
 #include "telemetry/Json.h"
 #include "telemetry/Prometheus.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -97,7 +99,7 @@ void pokeUnix(const std::string &Path) {
 
 } // namespace
 
-/// Detection-thread-private state of one in-flight session. Exactly one
+/// Lane-private detection state of one in-flight session. Exactly one
 /// of Serial/Sharded is non-null once the first item arrives.
 struct CollectorServer::Detection {
   std::unique_ptr<ReplayScheduler> Scheduler;
@@ -106,8 +108,12 @@ struct CollectorServer::Detection {
   RaceReport Report;
   /// Dynamic counts already forwarded to triage, per site pair. Seeded
   /// from the checkpoint for recovered sessions, so journal replay only
-  /// contributes the delta.
+  /// contributes the delta. Guarded by PublishLock (checkpoints read it
+  /// from any lane).
   std::map<StaticRaceKey, uint64_t> Published;
+  /// Report.numDynamicSightings() at the last publish: a chunk that adds
+  /// no sighting has nothing to publish and skips the lock.
+  uint64_t SightingsPublished = 0;
   /// Records queued to detection so far, per thread: a spilled session's
   /// journal replay feeds each thread's stream beyond this prefix.
   std::vector<uint64_t> AddedPerTid;
@@ -119,12 +125,31 @@ struct CollectorServer::Detection {
   }
 };
 
+struct CollectorServer::Lane {
+  explicit Lane(size_t Capacity) : Queue(Capacity) {}
+
+  MpscChunkQueue<IngestItem> Queue;
+  /// In-flight sessions. Only this lane's thread inserts, erases, or
+  /// touches a Detection's detectors; inserts and erases happen under
+  /// PublishLock so a checkpoint on another lane can walk the table.
+  std::map<uint64_t, Detection> Live;
+  /// Bound sessions not yet finished (guarded by SessionsLock): the
+  /// load a new session's lane is chosen by.
+  size_t Sessions = 0;
+  std::thread Thread;
+};
+
 CollectorServer::CollectorServer(CollectorConfig ConfigIn)
     : Config(std::move(ConfigIn)),
       Triage(Config.Triage, Config.Suppressions ? Config.Suppressions
-                                                : &EmptySuppressions),
-      Queue(Config.QueueCapacity) {
+                                                : &EmptySuppressions) {
   Metrics = telemetry::resolveRegistry(Config.Metrics);
+  // Half the hardware threads: the other half run the reader threads
+  // that decode what the lanes detect.
+  const size_t Count = std::clamp<size_t>(
+      std::thread::hardware_concurrency() / 2, 1, MaxLanes);
+  for (size_t I = 0; I != Count; ++I)
+    Lanes.push_back(std::make_unique<Lane>(Config.QueueCapacity));
 }
 
 CollectorServer::~CollectorServer() { stop(); }
@@ -140,10 +165,11 @@ bool CollectorServer::start(std::string *Error) {
     return false;
   }
   Started.store(true);
-  // Recovery feeds the queue, so the consumer must exist first; the
+  // Recovery feeds the lanes, so their consumers must exist first; the
   // acceptor starts only after recovery so resuming clients see the
   // recovered ack positions.
-  Detector = std::thread(&CollectorServer::detectLoop, this);
+  for (const std::unique_ptr<Lane> &L : Lanes)
+    L->Thread = std::thread(&CollectorServer::laneLoop, this, std::ref(*L));
   if (!Config.SpoolDir.empty())
     recoverFromSpool();
   Acceptor = std::thread(&CollectorServer::acceptLoop, this);
@@ -160,10 +186,11 @@ void CollectorServer::stop() {
   }
   const bool Crash = Crashed.load();
   // A simulated crash abandons in-flight work immediately: closing the
-  // queue up front unblocks readers stuck in backpressure and stops the
-  // detection thread at its next pop.
+  // queues up front unblocks readers stuck in backpressure and stops the
+  // detection lanes at their next pop.
   if (Crash)
-    Queue.close();
+    for (const std::unique_ptr<Lane> &L : Lanes)
+      L->Queue.close();
   // Unblock the acceptor, then retire the listener.
   pokeUnix(Config.IngestSocketPath);
   if (Acceptor.joinable())
@@ -210,10 +237,18 @@ void CollectorServer::stop() {
       finalizeIngest(S); // idempotent: no-op for already-ended sessions
   }
 
-  // Every End item is queued; drain and join the detection thread.
-  Queue.close();
-  if (Detector.joinable())
-    Detector.join();
+  // Every End item is queued; drain and join the detection lanes.
+  for (const std::unique_ptr<Lane> &L : Lanes)
+    L->Queue.close();
+  for (const std::unique_ptr<Lane> &L : Lanes)
+    if (L->Thread.joinable())
+      L->Thread.join();
+  // Final checkpoint: triage totals and the session-id watermark survive
+  // a clean restart with nothing in flight.
+  if (!Crash && !Config.SpoolDir.empty()) {
+    std::lock_guard<std::mutex> Guard(PublishLock);
+    writeCheckpoint();
+  }
 
   // Retire the HTTP listeners.
   {
@@ -272,6 +307,11 @@ CollectorServer::createSession(uint64_t RunIdHi, uint64_t RunIdLo,
     State->Id = ForcedId ? ForcedId : NextSessionId++;
     if (ForcedId && ForcedId >= NextSessionId)
       NextSessionId = ForcedId + 1;
+    // Bind to the least-loaded lane (the lowest index among ties).
+    for (size_t I = 1; I != Lanes.size(); ++I)
+      if (Lanes[I]->Sessions < Lanes[State->Lane]->Sessions)
+        State->Lane = I;
+    ++Lanes[State->Lane]->Sessions;
     Sessions[State->Id] = State;
     if (Resumable && (RunIdHi | RunIdLo))
       RunIdIndex[{RunIdHi, RunIdLo}] = State->Id;
@@ -458,6 +498,7 @@ bool CollectorServer::ingestBytes(SessionState &State, const uint8_t *Data,
 }
 
 void CollectorServer::forwardDecoded(SessionState &State, bool &QueueClosed) {
+  MpscChunkQueue<IngestItem> &Queue = Lanes[State.Lane]->Queue;
   SegmentStreamDecoder::Chunk C;
   const bool CanSpill = !State.JournalPath.empty() && State.JournalOk;
   while (State.Decoder->take(C)) {
@@ -559,7 +600,8 @@ void CollectorServer::finalizeIngest(
     if (It != RunIdIndex.end() && It->second == State->Id)
       RunIdIndex.erase(It);
   }
-  Queue.push(End); // false only when closed (shutdown/crash): drop
+  // false only when closed (shutdown/crash): drop
+  Lanes[State->Lane]->Queue.push(End);
 }
 
 void CollectorServer::readerLoop(int Fd) {
@@ -728,7 +770,7 @@ void CollectorServer::recoverFromSpool() {
       std::lock_guard<std::mutex> Guard(SessionsLock);
       if (E && !E->Published.empty()) {
         // Counts the previous life already published for this session:
-        // the detection thread replays only the delta beyond them.
+        // the session's lane replays only the delta beyond them.
         std::map<StaticRaceKey, uint64_t> &M = RecoveredPublished[Id];
         for (const auto &[Key, Count] : E->Published)
           M[Key] = Count;
@@ -797,6 +839,7 @@ void CollectorServer::publish(Detection &D, uint64_t SessionId) {
       Done = R.DynamicCount;
     }
   }
+  D.SightingsPublished = D.Report.numDynamicSightings();
   D.State->Races.store(D.Report.numStaticRaces(),
                        std::memory_order_relaxed);
   if (NewSightings) {
@@ -833,7 +876,19 @@ void CollectorServer::replaySpilledTail(Detection &D, const IngestItem &End) {
         Metrics->counter("collector.spill.replayed_events"), Replayed);
 }
 
-void CollectorServer::finishSession(Detection &D, const IngestItem &End) {
+void CollectorServer::maybeCheckpoint() {
+  const bool Want =
+      CheckpointRequested.exchange(false, std::memory_order_relaxed) ||
+      (Config.CheckpointEveryUpdates &&
+       PublishedSinceCkpt >= Config.CheckpointEveryUpdates);
+  if (Want && !Config.SpoolDir.empty()) {
+    writeCheckpoint();
+    PublishedSinceCkpt = 0;
+  }
+}
+
+void CollectorServer::finishSession(Lane &L, Detection &D,
+                                    const IngestItem &End) {
   uint64_t Gaps = 0;
   if (D.Scheduler) {
     size_t Delivered = D.Scheduler->drain(D.consumer());
@@ -851,6 +906,7 @@ void CollectorServer::finishSession(Detection &D, const IngestItem &End) {
     }
     if (D.Sharded)
       D.Sharded->finish(D.Report);
+    std::lock_guard<std::mutex> Guard(PublishLock);
     publish(D, End.SessionId);
   }
   D.State->TimestampGaps.store(Gaps, std::memory_order_relaxed);
@@ -861,6 +917,7 @@ void CollectorServer::finishSession(Detection &D, const IngestItem &End) {
     ++Completed;
     if (End.Clean)
       ++CleanCount;
+    --L.Sessions;
   }
   if (Metrics) {
     telemetry::ThreadSlab &Slab = Metrics->threadSlab();
@@ -870,13 +927,12 @@ void CollectorServer::finishSession(Detection &D, const IngestItem &End) {
     Slab.gaugeMax(Metrics->gaugeMax("collector.races.distinct"),
                   Triage.distinctRaces());
     Slab.gaugeMax(Metrics->gaugeMax("collector.queue.depth.highwater"),
-                  Queue.stats().DepthHighWater);
+                  L.Queue.stats().DepthHighWater);
   }
   SessionsCv.notify_all();
 }
 
-void CollectorServer::writeCheckpoint(
-    const std::map<uint64_t, Detection> &Live) {
+void CollectorServer::writeCheckpoint() {
   if (Config.SpoolDir.empty())
     return;
   CollectorCheckpoint C;
@@ -885,7 +941,8 @@ void CollectorServer::writeCheckpoint(
     C.NextSessionId = NextSessionId;
   }
   // Totals and entries form one consistent snapshot: observe() only runs
-  // on this (the detection) thread, so nothing moves between the calls.
+  // under PublishLock, which the caller holds, so nothing moves between
+  // the calls.
   Triage.checkpointTotals(C.Sightings, C.SuppressedSightings,
                           C.RateLimitedUpdates);
   C.Races = Triage.checkpointEntries();
@@ -894,24 +951,29 @@ void CollectorServer::writeCheckpoint(
   for (size_t I = 0; I != Supp.size(); ++I)
     if (Supp.hits(I))
       C.SuppressionHits.emplace_back(Supp.entry(I).Name, Supp.hits(I));
-  for (const auto &[Id, D] : Live) {
-    if (!D.State || D.State->JournalPath.empty())
-      continue;
-    CheckpointSessionEntry E;
-    E.Id = Id;
-    E.RunIdHi = D.State->RunIdHi;
-    E.RunIdLo = D.State->RunIdLo;
-    E.Resumable = D.State->ResumableSession;
-    // JournalBytes may run ahead of what this thread has detected; that
-    // is fine — recovery replays the whole journal and subtracts
-    // Published. Deriving LogicalPos from StreamBase (changes only on
-    // rare gap declarations) keeps the pair consistent under races.
-    E.JournalBytes = D.State->JournalBytes.load(std::memory_order_relaxed);
-    E.LogicalPos =
-        D.State->StreamBase.load(std::memory_order_relaxed) + E.JournalBytes;
-    E.Published.assign(D.Published.begin(), D.Published.end());
-    C.Sessions.push_back(std::move(E));
+  for (const std::unique_ptr<Lane> &L : Lanes) {
+    for (const auto &[Id, D] : L->Live) {
+      if (!D.State || D.State->JournalPath.empty())
+        continue;
+      CheckpointSessionEntry E;
+      E.Id = Id;
+      E.RunIdHi = D.State->RunIdHi;
+      E.RunIdLo = D.State->RunIdLo;
+      E.Resumable = D.State->ResumableSession;
+      // JournalBytes may run ahead of what the lane has detected; that
+      // is fine — recovery replays the whole journal and subtracts
+      // Published. Deriving LogicalPos from StreamBase (changes only on
+      // rare gap declarations) keeps the pair consistent under races.
+      E.JournalBytes = D.State->JournalBytes.load(std::memory_order_relaxed);
+      E.LogicalPos = D.State->StreamBase.load(std::memory_order_relaxed) +
+                     E.JournalBytes;
+      E.Published.assign(D.Published.begin(), D.Published.end());
+      C.Sessions.push_back(std::move(E));
+    }
   }
+  std::sort(C.Sessions.begin(), C.Sessions.end(),
+            [](const CheckpointSessionEntry &A,
+               const CheckpointSessionEntry &B) { return A.Id < B.Id; });
   if (writeFileAtomic(Config.SpoolDir + "/" + checkpointFileName(),
                       encodeCheckpoint(C))) {
     CheckpointsWritten.fetch_add(1, std::memory_order_relaxed);
@@ -926,27 +988,31 @@ void CollectorServer::writeCheckpoint(
   }
 }
 
-void CollectorServer::detectLoop() {
-  std::map<uint64_t, Detection> Live;
+void CollectorServer::laneLoop(Lane &L) {
   IngestItem Item;
-  while (!Crashed.load(std::memory_order_relaxed) && Queue.pop(Item)) {
-    Detection &D = Live[Item.SessionId];
+  while (!Crashed.load(std::memory_order_relaxed) && L.Queue.pop(Item)) {
+    auto It = L.Live.find(Item.SessionId);
+    if (It == L.Live.end()) {
+      std::lock_guard<std::mutex> Publish(PublishLock);
+      It = L.Live.try_emplace(Item.SessionId).first;
+      Detection &D = It->second;
+      std::lock_guard<std::mutex> Guard(SessionsLock);
+      D.State = Sessions.at(Item.SessionId);
+      const auto Rec = RecoveredPublished.find(Item.SessionId);
+      if (Rec != RecoveredPublished.end()) {
+        D.Published = std::move(Rec->second);
+        RecoveredPublished.erase(Rec);
+      }
+    }
+    Detection &D = It->second;
     if (!D.Scheduler) {
-      D.Scheduler =
-          std::make_unique<ReplayScheduler>(Item.NumCounters);
+      D.Scheduler = std::make_unique<ReplayScheduler>(Item.NumCounters);
       if (Config.Shards > 1) {
         DetectorOptions Opts;
         Opts.Shards = Config.Shards;
         D.Sharded = std::make_unique<ShardedHBDetector>(Opts);
       } else {
         D.Serial = std::make_unique<HBDetector>(D.Report);
-      }
-      std::lock_guard<std::mutex> Guard(SessionsLock);
-      D.State = Sessions.at(Item.SessionId);
-      const auto It = RecoveredPublished.find(Item.SessionId);
-      if (It != RecoveredPublished.end()) {
-        D.Published = std::move(It->second);
-        RecoveredPublished.erase(It);
       }
     }
     if (Item.K == IngestItem::Kind::Chunk) {
@@ -962,38 +1028,38 @@ void CollectorServer::detectLoop() {
             Metrics->counter("collector.events.ingested"), Delivered);
       // The serial detector's report is live; surface new sightings as
       // they happen. (The sharded pipeline merges at session end.)
-      if (D.Serial)
-        publish(D, Item.SessionId);
-      const bool Want =
-          CheckpointRequested.exchange(false, std::memory_order_relaxed) ||
-          (Config.CheckpointEveryUpdates &&
-           PublishedSinceCkpt >= Config.CheckpointEveryUpdates);
-      if (Want && !Config.SpoolDir.empty()) {
-        writeCheckpoint(Live);
-        PublishedSinceCkpt = 0;
+      const bool Fresh = D.Serial && D.Report.numDynamicSightings() !=
+                                         D.SightingsPublished;
+      if (Fresh || CheckpointRequested.load(std::memory_order_relaxed)) {
+        std::lock_guard<std::mutex> Guard(PublishLock);
+        if (Fresh)
+          publish(D, Item.SessionId);
+        maybeCheckpoint();
       }
     } else {
       if (Item.ReplayTail)
         replaySpilledTail(D, Item);
-      finishSession(D, Item);
+      finishSession(L, D, Item);
+      std::lock_guard<std::mutex> Guard(PublishLock);
       if (!Config.SpoolDir.empty()) {
         // Checkpoint (with this session's final Published still in the
         // in-flight table) *before* unlinking its journal: a crash in
         // the window leaves a journal whose replay delta against the
         // checkpoint is zero.
-        writeCheckpoint(Live);
+        writeCheckpoint();
         PublishedSinceCkpt = 0;
         if (D.State && !D.State->JournalPath.empty())
           ::unlink(D.State->JournalPath.c_str());
       }
-      Live.erase(Item.SessionId);
+      L.Live.erase(It);
     }
   }
   if (Crashed.load(std::memory_order_relaxed))
     return; // simulated SIGKILL: no settling, no final checkpoint
   // Queue closed with sessions still live (reader hit a closed queue
-  // mid-stream during shutdown): settle them as unclean.
-  for (auto &[Id, D] : Live) {
+  // mid-stream during shutdown): settle them as unclean. stop() writes
+  // the final checkpoint once every lane is done.
+  for (auto &[Id, D] : L.Live) {
     IngestItem End;
     End.K = IngestItem::Kind::End;
     End.SessionId = Id;
@@ -1002,15 +1068,12 @@ void CollectorServer::detectLoop() {
         D.State && D.State->Spilling.load(std::memory_order_relaxed);
     if (End.ReplayTail)
       replaySpilledTail(D, End);
-    finishSession(D, End);
+    finishSession(L, D, End);
     if (D.State && !D.State->JournalPath.empty())
       ::unlink(D.State->JournalPath.c_str());
   }
-  Live.clear();
-  // Final checkpoint: triage totals and the session-id watermark survive
-  // a clean restart with nothing in flight.
-  if (!Config.SpoolDir.empty())
-    writeCheckpoint(Live);
+  std::lock_guard<std::mutex> Guard(PublishLock);
+  L.Live.clear();
 }
 
 bool CollectorServer::degraded() const {
@@ -1258,7 +1321,17 @@ std::string CollectorServer::statusJson() const {
     SegDropped += S.SegmentsDropped;
     Spilled += S.SpilledEvents;
   }
-  const MpscQueueStats QStats = Queue.stats();
+  // Queue fields aggregate the lanes: depth and parks are sums, the
+  // high-water mark is the fullest any one lane has been.
+  MpscQueueStats QStats;
+  size_t Depth = 0;
+  for (const std::unique_ptr<Lane> &L : Lanes) {
+    const MpscQueueStats S = L->Queue.stats();
+    QStats.DepthHighWater = std::max(QStats.DepthHighWater, S.DepthHighWater);
+    QStats.ProducerParks += S.ProducerParks;
+    QStats.ConsumerParks += S.ConsumerParks;
+    Depth += L->Queue.approxSize();
+  }
 
   std::string J = "{\n  \"schema\": \"literace.status.v1\",\n";
   J += "  \"listening\": " +
@@ -1283,10 +1356,12 @@ std::string CollectorServer::statusJson() const {
   appendU64(J, SegRecovered);
   J += ", \"segments_dropped\": ";
   appendU64(J, SegDropped);
-  J += ", \"queue\": {\"capacity\": ";
-  appendU64(J, Queue.capacity());
+  J += ", \"queue\": {\"lanes\": ";
+  appendU64(J, Lanes.size());
+  J += ", \"capacity\": ";
+  appendU64(J, Lanes.front()->Queue.capacity());
   J += ", \"depth\": ";
-  appendU64(J, Queue.approxSize());
+  appendU64(J, Depth);
   J += ", \"high_water\": ";
   appendU64(J, QStats.DepthHighWater);
   J += ", \"producer_parks\": ";

@@ -11,11 +11,22 @@
 /// all — over an AF_UNIX stream socket. One CollectorServer:
 ///
 ///   accept thread ──► per-connection reader threads
-///        each: recv ─► journal (WAL) ─► SegmentStreamDecoder ─► queue
+///        each: recv ─► journal (WAL) ─► SegmentStreamDecoder ─► its
+///                                       session's lane queue
 ///                                                   │
-///   detection thread ◄───────────────────── single consumer
-///        per-session ReplayScheduler + HBDetector (or sharded)
-///        race-count deltas ─► ReportTriage (dedup / suppress / limit)
+///   detection lanes (fixed pool; a session stays on one lane)
+///        lane k: queue ─► per-session ReplayScheduler + HBDetector
+///                         (or sharded), no shared lock held
+///                             │ race-count deltas
+///        publish lock ──► ReportTriage (dedup / suppress / limit)
+///                         + triage checkpoint over every lane
+///
+/// A session is bound, when it is created, to the lane with the fewest
+/// unfinished sessions, so concurrent sessions detect in parallel while
+/// each session's events are still consumed in stream order by one
+/// thread. The lanes meet only at the publish lock, which serializes
+/// triage updates and checkpoints: a checkpoint's totals and its
+/// per-session entries are one consistent snapshot.
 ///
 /// Live observability rides on top: statusJson() / racesJson() /
 /// metricsText() render the daemon state, and serveHttpUnix() /
@@ -54,7 +65,6 @@
 #include "detector/Replay.h"
 #include "detector/ShardedDetector.h"
 #include "runtime/EventLog.h"
-#include "support/MpscChunkQueue.h"
 #include "telemetry/Metrics.h"
 
 #include <atomic>
@@ -78,7 +88,8 @@ struct CollectorConfig {
   /// surfaces race updates live mid-session (the sharded pipeline merges
   /// per-shard reports only at session end).
   unsigned Shards = 1;
-  /// Ingest queue capacity (chunks); producers feel backpressure beyond.
+  /// Ingest queue capacity (chunks) of each detection lane; producers
+  /// feel backpressure beyond.
   size_t QueueCapacity = 1024;
   /// Triage tuning (rate limit, injectable clock).
   TriageConfig Triage;
@@ -146,7 +157,7 @@ public:
 
   /// Binds the ingest socket, recovers spooled state (journals +
   /// checkpoint) when SpoolDir is set, and starts the accept, detection
-  /// and housekeeping threads. False (with \p Error) if the socket
+  /// lane and housekeeping threads. False (with \p Error) if the socket
   /// cannot be bound.
   bool start(std::string *Error = nullptr);
 
@@ -173,6 +184,11 @@ public:
 
   uint64_t sessionsAccepted() const;
   uint64_t sessionsCompleted() const;
+
+  /// Number of detection lanes: half the hardware threads, at least one
+  /// and at most MaxLanes.
+  size_t lanes() const { return Lanes.size(); }
+  static constexpr size_t MaxLanes = 8;
 
   /// Total bytes ingested across all sessions and lives, including
   /// recovery replay (drives literace-collectd --kill-after-bytes).
@@ -211,7 +227,7 @@ public:
              std::string &ContentType) const;
 
 private:
-  /// One queued hand-off from a reader to the detection thread.
+  /// One queued hand-off from a reader to its session's detection lane.
   struct IngestItem {
     enum class Kind : uint8_t { Chunk, End } K = Kind::Chunk;
     uint64_t SessionId = 0;
@@ -226,7 +242,7 @@ private:
     bool ReplayTail = false;
   };
 
-  /// Shared live state of one session (readers and the detection thread
+  /// Shared live state of one session (readers and the detection lane
   /// update disjoint fields; /status reads them racily but torn-free).
   /// A resumable session outlives any single connection: reader threads
   /// attach to and detach from it as the client reconnects.
@@ -235,6 +251,7 @@ private:
     uint64_t RunIdHi = 0, RunIdLo = 0; ///< const after creation
     bool ResumableSession = false;     ///< const after creation
     bool RecoveredSession = false;     ///< const after creation
+    size_t Lane = 0;                   ///< const after creation
     std::string JournalPath;           ///< const after creation; "" = none
     std::atomic<bool> Active{true};
     std::atomic<bool> Clean{false};
@@ -276,16 +293,22 @@ private:
     bool Ended = false;
   };
 
-  /// Detection-thread-private state of one in-flight session.
+  /// Lane-private detection state of one in-flight session.
   struct Detection;
+  /// One detection lane: its queue, thread and in-flight sessions.
+  struct Lane;
 
   void acceptLoop();
   void readerLoop(int Fd);
-  void detectLoop();
+  void laneLoop(Lane &L);
   void housekeepingLoop();
   void httpLoop(int ListenFd);
+  /// Forwards \p D's new race counts to triage (PublishLock held).
   void publish(Detection &D, uint64_t SessionId);
-  void finishSession(Detection &D, const IngestItem &End);
+  /// Checkpoints if a resume gap asked for one or enough updates were
+  /// published since the last (PublishLock held).
+  void maybeCheckpoint();
+  void finishSession(Lane &L, Detection &D, const IngestItem &End);
 
   /// Creates and registers a session. \p ForcedId re-creates a recovered
   /// session under its old id (and opens its journal for append instead
@@ -320,14 +343,16 @@ private:
   /// Re-reads a spilled session's journal and feeds each thread's tail
   /// beyond what detection already consumed.
   void replaySpilledTail(Detection &D, const IngestItem &End);
-  /// Writes the triage checkpoint (detection thread only; \p Live is its
-  /// in-flight table, whose Published maps make replay idempotent).
-  void writeCheckpoint(const std::map<uint64_t, Detection> &Live);
+  /// Writes the triage checkpoint (PublishLock held): triage state plus
+  /// every lane's in-flight sessions, whose Published maps make replay
+  /// idempotent.
+  void writeCheckpoint();
 
   CollectorConfig Config;
   SuppressionSet EmptySuppressions;
   ReportTriage Triage;
-  MpscChunkQueue<IngestItem> Queue;
+  /// The detection lanes; the pool size is fixed at construction.
+  std::vector<std::unique_ptr<Lane>> Lanes;
   telemetry::MetricsRegistry *Metrics = nullptr;
 
   int ListenFd = -1;
@@ -341,7 +366,7 @@ private:
   /// SessionsLock; entries die when their session's ingest finalizes.
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> RunIdIndex;
   /// Recovered sessions' already-published counts, handed to the
-  /// detection thread when it first sees the session. Guarded by
+  /// session's lane when it first sees the session. Guarded by
   /// SessionsLock.
   std::map<uint64_t, std::map<StaticRaceKey, uint64_t>> RecoveredPublished;
   uint64_t NextSessionId = 1;
@@ -355,7 +380,6 @@ private:
   std::vector<int> LiveFds; // guarded by ReadersLock
 
   std::thread Acceptor;
-  std::thread Detector;
   std::thread Housekeeper;
 
   std::mutex HttpLock;
@@ -370,11 +394,15 @@ private:
   std::atomic<uint64_t> ResumedCount{0};
   std::atomic<uint64_t> GapBytesTotal{0};
   std::atomic<bool> DurabilityBroken{false};
-  /// Set by resume gaps; the detection thread folds it into its next
+  /// Set by resume gaps; the next lane to publish folds it into its
   /// checkpoint decision.
   std::atomic<bool> CheckpointRequested{false};
-  /// Emitted race updates since the last checkpoint (detection thread
-  /// only).
+  /// Serializes triage updates and checkpoints across lanes. Guards
+  /// ReportTriage::observe calls, every Detection::Published map, the
+  /// shape of every lane's in-flight table, and PublishedSinceCkpt. Lock
+  /// order: PublishLock before SessionsLock.
+  std::mutex PublishLock;
+  /// Emitted race updates since the last checkpoint.
   uint64_t PublishedSinceCkpt = 0;
 };
 

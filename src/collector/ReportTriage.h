@@ -71,8 +71,9 @@ struct TriageCheckpointEntry {
 };
 
 /// Deduplicating, suppressing, rate-limiting sink for live race updates.
-/// observe() is called by the collector's detection thread; the read
-/// accessors are safe from any thread (HTTP handlers).
+/// observe() is called by the collector's detection lanes under their
+/// shared publish lock; the read accessors are safe from any thread
+/// (HTTP handlers).
 class ReportTriage {
 public:
   /// \p Suppressions may be null (nothing suppressed) and must outlive

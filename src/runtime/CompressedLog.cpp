@@ -85,10 +85,13 @@ size_t literace::compressEventStream(const std::vector<EventRecord> &Stream,
   return Out.size() - Before;
 }
 
-PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
-                                                     size_t Size,
-                                                     ThreadId Tid) {
-  PartialDecode Result;
+namespace {
+
+/// Decodes records from \p Data, appending them to \p Out, until the
+/// input ends or a malformed record starts. Returns the bytes consumed by
+/// the records decoded; all of \p Size means the input was clean.
+size_t decodeAppend(const uint8_t *Data, size_t Size, ThreadId Tid,
+                    std::vector<EventRecord> &Out) {
   const uint8_t *P = Data;
   const uint8_t *End = Data + Size;
   uint64_t PrevAddr = 0;
@@ -100,10 +103,8 @@ PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
     uint8_t Header = *P++;
     uint8_t KindBits = Header & 0x0f;
     if (KindBits > static_cast<uint8_t>(EventKind::PolicyMeta) ||
-        (Header & ~uint8_t(0x0f | FlagHasMask))) {
-      Result.BytesConsumed = static_cast<size_t>(RecordStart - Data);
-      return Result;
-    }
+        (Header & ~uint8_t(0x0f | FlagHasMask)))
+      return static_cast<size_t>(RecordStart - Data);
     EventRecord R;
     R.Kind = static_cast<EventKind>(KindBits);
     R.Tid = Tid;
@@ -124,28 +125,44 @@ PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
       if (Ok)
         PrevMask = static_cast<uint16_t>(V);
     }
-    if (!Ok) {
-      // Truncated or malformed record: keep the prefix decoded so far.
-      Result.BytesConsumed = static_cast<size_t>(RecordStart - Data);
-      return Result;
-    }
+    if (!Ok) // Truncated or malformed record: keep the prefix.
+      return static_cast<size_t>(RecordStart - Data);
     R.Mask = PrevMask;
     PrevAddr = R.Addr;
     PrevPc = R.Pc;
-    Result.Events.push_back(R);
+    Out.push_back(R);
   }
-  Result.Complete = true;
-  Result.BytesConsumed = Size;
+  return Size;
+}
+
+} // namespace
+
+PartialDecode literace::decompressEventStreamPartial(const uint8_t *Data,
+                                                     size_t Size,
+                                                     ThreadId Tid) {
+  PartialDecode Result;
+  Result.BytesConsumed = decodeAppend(Data, Size, Tid, Result.Events);
+  Result.Complete = Result.BytesConsumed == Size;
   return Result;
 }
 
 std::optional<std::vector<EventRecord>>
 literace::decompressEventStream(const uint8_t *Data, size_t Size,
                                 ThreadId Tid) {
-  PartialDecode Partial = decompressEventStreamPartial(Data, Size, Tid);
-  if (!Partial.Complete)
+  std::vector<EventRecord> Events;
+  if (!decompressEventStreamAppend(Data, Size, Tid, Events))
     return std::nullopt;
-  return std::move(Partial.Events);
+  return Events;
+}
+
+bool literace::decompressEventStreamAppend(const uint8_t *Data, size_t Size,
+                                           ThreadId Tid,
+                                           std::vector<EventRecord> &Out) {
+  const size_t Before = Out.size();
+  if (decodeAppend(Data, Size, Tid, Out) == Size)
+    return true;
+  Out.resize(Before);
+  return false;
 }
 
 CompressedFileSink::CompressedFileSink(const std::string &Path,

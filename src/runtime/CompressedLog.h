@@ -44,6 +44,12 @@ size_t compressEventStream(const std::vector<EventRecord> &Stream,
 std::optional<std::vector<EventRecord>>
 decompressEventStream(const uint8_t *Data, size_t Size, ThreadId Tid);
 
+/// Decodes like decompressEventStream, appending the records to \p Out
+/// (straight into a caller's stream, without a temporary). On malformed
+/// input \p Out is left as it was and the result is false.
+bool decompressEventStreamAppend(const uint8_t *Data, size_t Size,
+                                 ThreadId Tid, std::vector<EventRecord> &Out);
+
 /// Result of a salvaging decode: the records decoded before the first
 /// malformed byte (all of them when Complete).
 struct PartialDecode {

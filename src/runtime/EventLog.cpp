@@ -13,9 +13,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
+
+#include <sys/stat.h>
 
 using namespace literace;
 
@@ -97,17 +100,47 @@ bool validRecords(const EventRecord *Records, size_t Count) {
   return true;
 }
 
-std::optional<std::vector<uint8_t>> readWholeFile(const std::string &Path) {
+/// A whole file's contents, in one buffer.
+struct FileBytes {
+  std::unique_ptr<uint8_t[]> Data;
+  size_t Size = 0;
+};
+
+/// Reads \p Path into one buffer sized exactly by fstat, so a trace is
+/// copied from the page cache once and never regrown. A file that grows
+/// while it is read (a journal still being appended) is read to its end.
+/// Returns an empty string, or why the file could not be read: a failed
+/// open, or an I/O error part-way (never mistaken for a short file).
+std::string readWholeFile(const std::string &Path, FileBytes &Out) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
-    return std::nullopt;
-  std::vector<uint8_t> Data;
-  uint8_t Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), File)) > 0)
-    Data.insert(Data.end(), Buf, Buf + N);
+    return "cannot open " + Path;
+  struct stat St {};
+  size_t Capacity = 0;
+  if (::fstat(::fileno(File), &St) == 0 && St.st_size > 0)
+    Capacity = static_cast<size_t>(St.st_size);
+  Out.Data.reset(new uint8_t[std::max<size_t>(Capacity, 1)]);
+  Out.Size = std::fread(Out.Data.get(), 1, Capacity, File);
+  std::vector<uint8_t> Grown; // bytes appended since the fstat
+  if (Out.Size == Capacity) {
+    uint8_t Buf[1 << 16];
+    size_t N;
+    while ((N = std::fread(Buf, 1, sizeof(Buf), File)) > 0)
+      Grown.insert(Grown.end(), Buf, Buf + N);
+  }
+  const int Err = errno;
+  const bool Failed = std::ferror(File) != 0;
   std::fclose(File);
-  return Data;
+  if (Failed)
+    return "read error on " + Path + ": " + std::strerror(Err);
+  if (!Grown.empty()) {
+    std::unique_ptr<uint8_t[]> All(new uint8_t[Out.Size + Grown.size()]);
+    std::memcpy(All.get(), Out.Data.get(), Out.Size);
+    std::memcpy(All.get() + Out.Size, Grown.data(), Grown.size());
+    Out.Data = std::move(All);
+    Out.Size += Grown.size();
+  }
+  return std::string();
 }
 
 /// Parses and validates a segment header at \p P (magic, header CRC, and
@@ -161,6 +194,58 @@ void appendStream(Trace &T, TraceReadStats &S, uint32_t Tid,
   noteThreadRecovered(S, Tid, Count);
 }
 
+/// Returns thread \p Tid's stream, created on first use. A fresh stream
+/// is reserved for \p Expected[Tid] events, so appending the frames the
+/// pre-sizing pass counted never reallocates.
+std::vector<EventRecord> &streamFor(Trace &T, uint32_t Tid,
+                                   const std::vector<uint64_t> &Expected) {
+  if (Tid >= T.PerThread.size())
+    T.PerThread.resize(Tid + 1);
+  std::vector<EventRecord> &Stream = T.PerThread[Tid];
+  if (Stream.capacity() == 0 && Tid < Expected.size())
+    Stream.reserve(Expected[Tid]);
+  return Stream;
+}
+
+/// The smallest encoding of one record in a compressed payload: a header
+/// byte and two varints (see CompressedLog.cpp).
+constexpr uint64_t MinCompressedRecordBytes = 3;
+
+/// Pre-sizing pass over v2 frames from \p O: per thread, the events
+/// claimed by CRC-valid data frames that lie wholly inside the file. Only
+/// headers are checked (payload CRCs wait for the decode pass), so a
+/// count is an upper bound on what decodes; it is never more than the
+/// file could hold — a raw frame's count is tied to its payload length,
+/// a compressed frame is believed only up to its minimum encoding, and a
+/// frame cut off by the end of the file counts nothing.
+std::vector<uint64_t> countV2Events(const uint8_t *Data, size_t Size,
+                                    size_t O) {
+  std::vector<uint64_t> Expected;
+  while (O + sizeof(SegmentHeader) <= Size) {
+    SegmentHeader H;
+    if (!parseSegmentHeader(Data + O, Size - O, H)) {
+      O = findNextHeader(Data, Size, O + 1);
+      continue;
+    }
+    const size_t End = O + sizeof(SegmentHeader) + H.PayloadBytes;
+    if (End > Size)
+      break;
+    const bool Plausible =
+        H.Encoding == SegEncodingRaw
+            ? H.PayloadBytes ==
+                  static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord)
+            : static_cast<uint64_t>(H.EventCount) * MinCompressedRecordBytes <=
+                  H.PayloadBytes;
+    if (!(H.Flags & SegFlagFooter) && Plausible) {
+      if (H.Tid >= Expected.size())
+        Expected.resize(H.Tid + 1);
+      Expected[H.Tid] += H.EventCount;
+    }
+    O = End;
+  }
+  return Expected;
+}
+
 /// Walks v2 frames from \p O, recovering every intact one. Resyncs over
 /// damaged headers by scanning for the next valid magic; trusts
 /// CRC-valid headers for frame lengths, so a bad-payload frame costs
@@ -170,7 +255,7 @@ void parseV2Segments(const uint8_t *Data, size_t Size, size_t O,
   TraceReadStats &S = Res.Stats;
   bool FooterAtEnd = false;
   SegmentFooterPayload Footer{};
-  std::vector<EventRecord> Records;
+  const std::vector<uint64_t> Expected = countV2Events(Data, Size, O);
   while (O < Size) {
     SegmentHeader H;
     if (O + sizeof(SegmentHeader) > Size) {
@@ -216,23 +301,31 @@ void parseV2Segments(const uint8_t *Data, size_t Size, size_t O,
       } else if (H.Encoding == SegEncodingRaw) {
         if (H.PayloadBytes ==
             static_cast<uint64_t>(H.EventCount) * sizeof(EventRecord)) {
-          Records.resize(H.EventCount);
-          // memcpy: the payload is only 4-byte aligned in the file.
-          std::memcpy(Records.data(), Payload, H.PayloadBytes);
-          if (validRecords(Records.data(), Records.size())) {
-            appendStream(Res.T, S, H.Tid, Records.data(), Records.size());
-            ++S.SegmentsRecovered;
-            Decoded = true;
-          }
+          // Copy the payload straight to the end of its thread's stream
+          // (memcpy: it is only 4-byte aligned in the file) and validate
+          // it in place; a bad frame is cut off again.
+          std::vector<EventRecord> &Stream =
+              streamFor(Res.T, H.Tid, Expected);
+          const size_t Before = Stream.size();
+          Stream.resize(Before + H.EventCount);
+          std::memcpy(Stream.data() + Before, Payload, H.PayloadBytes);
+          Decoded = validRecords(Stream.data() + Before, H.EventCount);
+          if (!Decoded)
+            Stream.resize(Before);
         }
       } else {
-        auto Stream =
-            decompressEventStream(Payload, H.PayloadBytes, H.Tid);
-        if (Stream && Stream->size() == H.EventCount) {
-          appendStream(Res.T, S, H.Tid, Stream->data(), Stream->size());
-          ++S.SegmentsRecovered;
-          Decoded = true;
-        }
+        std::vector<EventRecord> &Stream = streamFor(Res.T, H.Tid, Expected);
+        const size_t Before = Stream.size();
+        Decoded = decompressEventStreamAppend(Payload, H.PayloadBytes, H.Tid,
+                                              Stream) &&
+                  Stream.size() - Before == H.EventCount;
+        if (!Decoded)
+          Stream.resize(Before);
+      }
+      if (Decoded && !(H.Flags & SegFlagFooter)) {
+        S.EventsRecovered += H.EventCount;
+        noteThreadRecovered(S, H.Tid, H.EventCount);
+        ++S.SegmentsRecovered;
       }
     }
     if (!Decoded) {
@@ -669,13 +762,12 @@ const char *literace::traceFormatName(TraceFormat F) {
 TraceReadResult literace::readTrace(const std::string &Path,
                                     const TraceReadOptions &Options) {
   TraceReadResult Res;
-  auto DataOpt = readWholeFile(Path);
-  if (!DataOpt) {
-    Res.Error = "cannot open " + Path;
+  FileBytes File;
+  Res.Error = readWholeFile(Path, File);
+  if (!Res.Error.empty())
     return Res;
-  }
-  const uint8_t *Data = DataOpt->data();
-  const size_t Size = DataOpt->size();
+  const uint8_t *Data = File.Data.get();
+  const size_t Size = File.Size;
   TraceReadStats &S = Res.Stats;
 
   bool Parsed = false;
@@ -775,13 +867,17 @@ TraceReadResult literace::readTrace(const std::string &Path,
   return Res;
 }
 
-std::vector<SegmentInfo> literace::scanSegments(const std::string &Path) {
+std::vector<SegmentInfo> literace::scanSegments(const std::string &Path,
+                                                std::string *Error) {
   std::vector<SegmentInfo> Inventory;
-  auto DataOpt = readWholeFile(Path);
-  if (!DataOpt)
+  FileBytes File;
+  const std::string Why = readWholeFile(Path, File);
+  if (Error)
+    *Error = Why;
+  if (!Why.empty())
     return Inventory;
-  const uint8_t *Data = DataOpt->data();
-  const size_t Size = DataOpt->size();
+  const uint8_t *Data = File.Data.get();
+  const size_t Size = File.Size;
 
   size_t O = 0;
   if (Size >= sizeof(FileHeader)) {

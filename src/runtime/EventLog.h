@@ -404,8 +404,11 @@ struct SegmentInfo {
 };
 
 /// Scans a v2 segmented file and returns its frame inventory (empty for
-/// other formats or unreadable files). Tolerates arbitrary damage.
-std::vector<SegmentInfo> scanSegments(const std::string &Path);
+/// other formats or unreadable files). Tolerates arbitrary damage. When
+/// the file cannot be opened or read, \p Error (if given) says why;
+/// otherwise it is set empty.
+std::vector<SegmentInfo> scanSegments(const std::string &Path,
+                                      std::string *Error = nullptr);
 
 /// Reads a log file written by FileSink back into a Trace. Returns
 /// std::nullopt if the file is missing or malformed. Strict v1 reader;

@@ -21,6 +21,7 @@
 #include "detector/Replay.h"
 #include "runtime/EventLog.h"
 #include "support/ByteOutput.h"
+#include "telemetry/Json.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Prometheus.h"
 
@@ -28,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -640,6 +642,109 @@ TEST(CollectorServerTest, LiveDetectionMatchesOfflineReplay) {
     EXPECT_EQ(S.SegmentsDropped, 0u);
   }
   std::remove(LogPath.c_str());
+}
+
+/// A racy two-thread trace whose race sites all live in function
+/// 20 + \p K, with 1 + K racing pairs: sessions built from different K
+/// race on disjoint site pairs and differ in length.
+Trace laneTrace(unsigned K) {
+  const FunctionId Fn = 20 + K;
+  LogBuilder B(16);
+  B.onThread(0).threadStart().write(0x1000, makePc(Fn, 1)).release(7);
+  B.onThread(1).threadStart().acquire(7).write(0x1000, makePc(Fn, 2));
+  for (unsigned I = 0; I != 1 + K; ++I) {
+    B.onThread(0).write(0x5000 + 8 * I, makePc(Fn, 10 + I));
+    B.onThread(1).read(0x5000 + 8 * I, makePc(Fn, 40 + I));
+  }
+  B.onThread(0).threadEnd();
+  B.onThread(1).threadEnd();
+  return B.build();
+}
+
+// More concurrent sessions than detection lanes: lanes are shared, yet
+// every session's live verdict equals batch detection of its own bytes,
+// and the shared triage table is exactly the sum of the sessions.
+TEST(CollectorServerTest, SessionsBeyondTheLaneCountDetectIndependently) {
+  const std::string SocketPath = tempPath("server-lanes.sock");
+  telemetry::MetricsRegistry Registry;
+  CollectorConfig Config;
+  Config.IngestSocketPath = SocketPath;
+  Config.Triage.RatePerSec = 0;
+  Config.Metrics = &Registry;
+  CollectorServer Server(std::move(Config));
+  ASSERT_GE(Server.lanes(), 1u);
+  ASSERT_LE(Server.lanes(), CollectorServer::MaxLanes);
+  const unsigned Sessions = static_cast<unsigned>(Server.lanes()) + 3;
+
+  std::vector<std::vector<uint8_t>> Bytes(Sessions);
+  std::vector<RaceReport> Batch(Sessions);
+  for (unsigned K = 0; K != Sessions; ++K) {
+    const std::string LogPath = tempPath("server-lanes.bin");
+    writeSegmented(laneTrace(K), LogPath, 2);
+    Bytes[K] = readFileBytes(LogPath);
+    const TraceReadResult R = readTrace(LogPath);
+    ASSERT_EQ(R.Status, TraceReadStatus::Ok) << R.Error;
+    ASSERT_TRUE(detectRaces(R.T, Batch[K]));
+    ASSERT_EQ(Batch[K].numStaticRaces(), 1 + K);
+    std::remove(LogPath.c_str());
+  }
+
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  std::vector<std::thread> Clients;
+  for (unsigned K = 0; K != Sessions; ++K)
+    Clients.emplace_back(
+        [&, K] { streamToServer(SocketPath, Bytes[K], 7 + 5 * K); });
+  for (std::thread &C : Clients)
+    C.join();
+  Server.waitForSessions(Sessions);
+
+  // /status reports the lanes' queues under the single-queue key names.
+  const auto Status = telemetry::parseJson(Server.statusJson());
+  ASSERT_TRUE(Status);
+  const telemetry::JsonValue *Queue = Status->find("ingest");
+  ASSERT_NE(Queue, nullptr);
+  Queue = Queue->find("queue");
+  ASSERT_NE(Queue, nullptr);
+  for (const char *Key : {"lanes", "capacity", "depth", "high_water",
+                          "producer_parks", "consumer_parks"})
+    EXPECT_NE(Queue->find(Key), nullptr) << Key;
+  EXPECT_EQ(Queue->find("lanes")->UInt, Server.lanes());
+  EXPECT_EQ(Queue->find("depth")->UInt, 0u);
+  Server.stop();
+
+  // Session status: each session is matched to its trace by byte length
+  // (the traces differ in length) and reports batch's race count.
+  const std::vector<SessionStatus> Statuses = Server.sessionStatuses();
+  ASSERT_EQ(Statuses.size(), Sessions);
+  for (const SessionStatus &S : Statuses) {
+    const auto It = std::find_if(
+        Bytes.begin(), Bytes.end(),
+        [&](const std::vector<uint8_t> &B) { return B.size() == S.Bytes; });
+    ASSERT_NE(It, Bytes.end());
+    const size_t K = static_cast<size_t>(It - Bytes.begin());
+    EXPECT_TRUE(S.Clean);
+    EXPECT_EQ(S.SegmentsDropped, 0u);
+    EXPECT_EQ(S.Races, Batch[K].numStaticRaces()) << "session of trace " << K;
+  }
+
+  // The triage table: every session's races with batch's counts, one
+  // session each, and nothing else.
+  std::map<StaticRaceKey, uint64_t> Want;
+  uint64_t WantSightings = 0;
+  for (const RaceReport &R : Batch) {
+    for (const StaticRace &Race : R.staticRaces())
+      Want[Race.Key] += Race.DynamicCount;
+    WantSightings += R.numDynamicSightings();
+  }
+  const std::vector<TriagedRace> Live = Server.triage().races();
+  ASSERT_EQ(Live.size(), Want.size());
+  for (const TriagedRace &R : Live) {
+    ASSERT_TRUE(Want.count(R.Key));
+    EXPECT_EQ(R.DynamicCount, Want[R.Key]);
+    EXPECT_EQ(R.Sessions, 1u);
+  }
+  EXPECT_EQ(Server.triage().totalSightings(), WantSightings);
 }
 
 TEST(CollectorServerTest, ShardedSessionsMatchSerialDetection) {

@@ -14,9 +14,12 @@
 #include "detector/HBDetector.h"
 #include "detector/LogBuilder.h"
 #include "runtime/CompressedLog.h"
+#include "support/Crc32.h"
+#include "support/SplitMix64.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
@@ -98,6 +101,181 @@ Trace buildRacyTrace() {
   B.onThread(1).threadEnd();
   B.onThread(2).threadEnd();
   return B.build();
+}
+
+/// A fixed, seeded record set: four threads of mixed memory and sync
+/// records, one of them long enough that a single writeChunk() splits
+/// into several frames (MaxRecordsPerSegment is 2^16).
+Trace buildGoldenTrace() {
+  SplitMix64 Rng(0x11feace5);
+  Trace T;
+  T.NumTimestampCounters = 64;
+  T.PerThread.resize(4);
+  uint64_t Ts = 1;
+  for (uint32_t Tid = 0; Tid != 4; ++Tid) {
+    const size_t Count = Tid == 3 ? 70000 : 1500 + 700 * Tid;
+    auto &Stream = T.PerThread[Tid];
+    for (size_t I = 0; I != Count; ++I) {
+      EventRecord R;
+      R.Tid = Tid;
+      const uint64_t Pick = Rng.nextBelow(10);
+      if (I == 0) {
+        R.Kind = EventKind::ThreadStart;
+      } else if (Pick < 4) {
+        R.Kind = EventKind::Read;
+      } else if (Pick < 8) {
+        R.Kind = EventKind::Write;
+      } else {
+        R.Kind = Pick == 8 ? EventKind::Acquire : EventKind::Release;
+        R.Ts = Ts++;
+      }
+      if (isMemoryKind(R.Kind)) {
+        R.Addr = 0x10000 + 8 * Rng.nextBelow(4096);
+        R.Mask = static_cast<uint16_t>(FullLogMaskBit | Rng.nextBelow(4));
+      } else if (isSyncKind(R.Kind)) {
+        R.Addr = makeSyncVar(SyncObjectKind::Mutex, Rng.nextBelow(8));
+      }
+      R.Pc = 0x400000 + Rng.nextBelow(512);
+      Stream.push_back(R);
+    }
+  }
+  return T;
+}
+
+/// FNV-1a over a file's bytes: a stable digest for golden comparisons.
+uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (uint8_t B : Bytes)
+    H = (H ^ B) * 0x100000001b3ULL;
+  return H;
+}
+
+// The on-disk bytes are part of the format: a change to the checksum
+// implementation, the framing, or the payload codec that alters a single
+// byte fails here. The digests were taken from the portable table-driven
+// CRC before the hardware path existed.
+TEST(SegmentedLogTest, WrittenBytesMatchGoldenDigests) {
+  const Trace T = buildGoldenTrace();
+  const std::string Path = tempPath("seg_golden.bin");
+  auto Write = [&](bool Compress) {
+    SegmentedFileSink::Options Opts;
+    Opts.Compress = Compress;
+    SegmentedFileSink Sink(Path, T.NumTimestampCounters, Opts);
+    // Threads 0-2 interleave in 1024-record chunks; thread 3 lands in
+    // the middle as one oversized chunk.
+    for (size_t Off = 0; Off < T.PerThread[2].size(); Off += 1024) {
+      for (ThreadId Tid = 0; Tid != 3; ++Tid) {
+        const auto &Stream = T.PerThread[Tid];
+        if (Off < Stream.size())
+          Sink.writeChunk(Tid, Stream.data() + Off,
+                          std::min<size_t>(1024, Stream.size() - Off));
+      }
+      if (Off == 2048)
+        Sink.writeChunk(3, T.PerThread[3].data(), T.PerThread[3].size());
+    }
+    EXPECT_TRUE(Sink.close());
+    return readFileBytes(Path);
+  };
+  const std::vector<uint8_t> Raw = Write(false);
+  const std::vector<uint8_t> Compressed = Write(true);
+  EXPECT_EQ(Raw.size(), 2451548u);
+  EXPECT_EQ(fnv1a(Raw), 0x0bb7ef5d5fc526daULL);
+  EXPECT_EQ(Compressed.size(), 736494u);
+  EXPECT_EQ(fnv1a(Compressed), 0x3f5d925487222a19ULL);
+  std::remove(Path.c_str());
+}
+
+// The pre-sizing pass trusts a CRC-valid header only for frames that lie
+// wholly inside the file: a tail header claiming 2^21 events (64 MiB of
+// records) must not make readTrace reserve memory the file cannot back.
+TEST(SegmentedLogTest, TruncatedTailHeaderDoesNotInflateReservations) {
+  const std::string Path = tempPath("seg_bigtail.bin");
+  Trace T = buildRacyTrace();
+  {
+    SegmentedFileSink Sink(Path, T.NumTimestampCounters);
+    for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid)
+      Sink.writeChunk(static_cast<ThreadId>(Tid), T.PerThread[Tid].data(),
+                      T.PerThread[Tid].size());
+    Sink.abandon();
+  }
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  // A hand-built v2 frame header (docs/LOG_FORMAT.md): magic "LRSG", raw
+  // encoding, thread 1, 2^21 events, and a payload length to match.
+  const uint32_t Claimed = 1u << 21;
+  uint32_t Header[7] = {0x4753524Cu, 0, 1, Claimed,
+                        Claimed * static_cast<uint32_t>(sizeof(EventRecord)),
+                        0, 0};
+  Header[6] = crc32c(Header, 24);
+  const uint8_t *HeaderBytes = reinterpret_cast<const uint8_t *>(Header);
+  Bytes.insert(Bytes.end(), HeaderBytes, HeaderBytes + sizeof(Header));
+  Bytes.resize(Bytes.size() + 4096, 0x5a); // the start of its payload
+  writeFileBytes(Path, Bytes.data(), Bytes.size());
+
+  TraceReadResult R = readTrace(Path);
+  ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << R.Error;
+  EXPECT_TRUE(R.Stats.TruncatedTail);
+  EXPECT_EQ(R.Stats.EventsRecovered, T.totalEvents());
+  size_t Reserved = 0;
+  for (const auto &Stream : R.T.PerThread)
+    Reserved += Stream.capacity() * sizeof(EventRecord);
+  EXPECT_LE(Reserved, Bytes.size());
+  std::remove(Path.c_str());
+}
+
+// readTrace and the collector's incremental decoder are two walkers over
+// the same frames; on an interleaved multi-thread trace they must yield
+// the same per-thread streams, record for record.
+TEST(SegmentedLogTest, ReadTraceAndStreamDecoderAgree) {
+  const std::string Path = tempPath("seg_agree.bin");
+  Trace T = buildGoldenTrace();
+  T.PerThread[3].resize(5000);
+  for (bool Compress : {false, true}) {
+    writeSegmented(T, Path, 300, Compress);
+    const std::vector<uint8_t> Bytes = readFileBytes(Path);
+    TraceReadResult R = readTrace(Path);
+    ASSERT_EQ(R.Status, TraceReadStatus::Ok) << R.Error;
+
+    SegmentStreamDecoder Decoder;
+    std::vector<std::vector<EventRecord>> Streams;
+    SegmentStreamDecoder::Chunk C;
+    for (size_t At = 0; At < Bytes.size(); At += 777) {
+      Decoder.feed(Bytes.data() + At, std::min<size_t>(777, Bytes.size() - At));
+      while (Decoder.take(C)) {
+        if (C.Tid >= Streams.size())
+          Streams.resize(C.Tid + 1);
+        Streams[C.Tid].insert(Streams[C.Tid].end(), C.Records.begin(),
+                              C.Records.end());
+      }
+    }
+    Decoder.finish();
+    EXPECT_TRUE(Decoder.stats().CleanShutdown);
+    EXPECT_EQ(Decoder.stats().EventsRecovered, R.Stats.EventsRecovered);
+    ASSERT_EQ(Streams.size(), R.T.PerThread.size());
+    ASSERT_EQ(Streams.size(), 4u);
+    for (size_t Tid = 0; Tid != Streams.size(); ++Tid) {
+      ASSERT_EQ(Streams[Tid].size(), R.T.PerThread[Tid].size()) << Tid;
+      EXPECT_EQ(std::memcmp(Streams[Tid].data(), R.T.PerThread[Tid].data(),
+                            Streams[Tid].size() * sizeof(EventRecord)),
+                0)
+          << "thread " << Tid << (Compress ? " (v2z)" : " (v2)");
+    }
+  }
+  std::remove(Path.c_str());
+}
+
+// An I/O error is not a short file: reading a directory fails inside
+// fread, and both readers report it as a read error instead of salvaging
+// whatever came back.
+TEST(SegmentedLogTest, ReadErrorsAreNotSalvagedAsTruncation) {
+  const std::string Dir = ::testing::TempDir();
+  TraceReadResult R = readTrace(Dir);
+  EXPECT_EQ(R.Status, TraceReadStatus::Unreadable);
+  EXPECT_NE(R.Error.find("read error"), std::string::npos) << R.Error;
+  std::string Error;
+  EXPECT_TRUE(scanSegments(Dir, &Error).empty());
+  EXPECT_NE(Error.find("read error"), std::string::npos) << Error;
+  EXPECT_NE(readTrace(tempPath("no_such_trace.bin")).Error.find("cannot open"),
+            std::string::npos);
 }
 
 TEST(SegmentedLogTest, RoundTripsRawPayloads) {

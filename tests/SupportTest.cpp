@@ -10,10 +10,12 @@
 #include "support/SplitMix64.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <set>
 #include <thread>
+#include <vector>
 
 using namespace literace;
 
@@ -103,17 +105,64 @@ TEST(WallTimerTest, MeasuresElapsedTime) {
   EXPECT_LT(Timer.seconds(), 0.015);
 }
 
+/// The CRC32C update functions under test: the portable table path
+/// always, and the SSE4.2 path where this CPU has it.
+using Crc32cUpdateFn = uint32_t (*)(uint32_t, const void *, size_t);
+std::vector<std::pair<const char *, Crc32cUpdateFn>> crc32cPaths() {
+  std::vector<std::pair<const char *, Crc32cUpdateFn>> Paths = {
+      {"table", &detail::crc32cUpdateTable}, {"dispatch", &crc32cUpdate}};
+#ifdef LITERACE_CRC32C_HW
+  if (detail::crc32cHardwareAvailable())
+    Paths.emplace_back("hardware", &detail::crc32cUpdateHardware);
+#endif
+  return Paths;
+}
+
+uint32_t oneShot(Crc32cUpdateFn Update, const void *Data, size_t Size) {
+  return crc32cFinal(Update(crc32cInit(), Data, Size));
+}
+
 TEST(Crc32Test, MatchesTheCastagnoliCheckValue) {
   // The canonical CRC32C check value (RFC 3720 / Intel SSE4.2 crc32c):
   // crc of the nine ASCII digits "123456789".
+  for (const auto &[Name, Update] : crc32cPaths())
+    EXPECT_EQ(oneShot(Update, "123456789", 9), 0xE3069283u) << Name;
   EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
 }
 
 TEST(Crc32Test, KnownVectors) {
-  EXPECT_EQ(crc32c("", 0), 0x00000000u);
-  EXPECT_EQ(crc32c("a", 1), 0xC1D04330u);
-  const char ThirtyTwoZeros[32] = {};
-  EXPECT_EQ(crc32c(ThirtyTwoZeros, 32), 0x8A9136AAu);
+  // RFC 3720 appendix B.4 vectors, on every path.
+  uint8_t Zeros[32] = {}, Ones[32], Up[32], Down[32];
+  for (unsigned I = 0; I != 32; ++I) {
+    Ones[I] = 0xff;
+    Up[I] = static_cast<uint8_t>(I);
+    Down[I] = static_cast<uint8_t>(31 - I);
+  }
+  for (const auto &[Name, Update] : crc32cPaths()) {
+    EXPECT_EQ(oneShot(Update, "", 0), 0x00000000u) << Name;
+    EXPECT_EQ(oneShot(Update, "a", 1), 0xC1D04330u) << Name;
+    EXPECT_EQ(oneShot(Update, Zeros, 32), 0x8A9136AAu) << Name;
+    EXPECT_EQ(oneShot(Update, Ones, 32), 0x62A8AB43u) << Name;
+    EXPECT_EQ(oneShot(Update, Up, 32), 0x46DD794Eu) << Name;
+    EXPECT_EQ(oneShot(Update, Down, 32), 0x113FDB5Cu) << Name;
+  }
+}
+
+TEST(Crc32Test, AllPathsAgreeOnRandomBuffers) {
+  SplitMix64 Rng(0xc3c32);
+  std::vector<uint8_t> Buffer(4096 + 8);
+  for (uint8_t &B : Buffer)
+    B = static_cast<uint8_t>(Rng.next());
+  const auto Paths = crc32cPaths();
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    const size_t Start = Trial % 8;
+    const size_t Size = Trial < 64 ? Trial : Rng.nextBelow(4097);
+    const uint32_t Want =
+        oneShot(&detail::crc32cUpdateTable, Buffer.data() + Start, Size);
+    for (const auto &[Name, Update] : Paths)
+      EXPECT_EQ(oneShot(Update, Buffer.data() + Start, Size), Want)
+          << Name << " start=" << Start << " size=" << Size;
+  }
 }
 
 TEST(Crc32Test, IncrementalUpdatesMatchOneShot) {
@@ -123,6 +172,27 @@ TEST(Crc32Test, IncrementalUpdatesMatchOneShot) {
   for (size_t I = 0; I != Size; ++I)
     State = crc32cUpdate(State, Data + I, 1);
   EXPECT_EQ(crc32cFinal(State), crc32c(Data, Size));
+
+  // Random split points, on every path: any chunking of the input gives
+  // the one-shot value.
+  SplitMix64 Rng(77);
+  std::vector<uint8_t> Buffer(4096);
+  for (uint8_t &B : Buffer)
+    B = static_cast<uint8_t>(Rng.next());
+  for (const auto &[Name, Update] : crc32cPaths()) {
+    for (int Trial = 0; Trial != 50; ++Trial) {
+      const size_t Len = Rng.nextBelow(Buffer.size() + 1);
+      uint32_t S = crc32cInit();
+      size_t At = 0;
+      while (At < Len) {
+        const size_t Piece = std::min<size_t>(Len - At, Rng.nextBelow(70));
+        S = Update(S, Buffer.data() + At, Piece);
+        At += Piece;
+      }
+      EXPECT_EQ(crc32cFinal(S), crc32c(Buffer.data(), Len))
+          << Name << " len=" << Len;
+    }
+  }
 }
 
 TEST(Crc32Test, SingleBitFlipsChangeTheChecksum) {

@@ -471,6 +471,28 @@ TEST(ToolsTest, FsckPassesCleanLogsOfEveryFormat) {
   }
 }
 
+// "wrote <path> (<format>): <N> MB" reports the size on disk. A v2z log
+// is several times smaller than its raw record payload, so a size taken
+// from the sink's payload count would overstate it.
+TEST(ToolsTest, RunReportsTheLogSizeOnDisk) {
+  for (const char *Format : {"v2", "v2z"}) {
+    std::string Log = tempLog();
+    auto [Code, Out] = runCommand(toolPath("literace-run") + " channel " +
+                                  Log + " --scale 0.05 --format " + Format);
+    ASSERT_EQ(Code, 0) << Format << ": " << Out;
+    const std::string Tag = std::string("(") + Format + "): ";
+    const size_t At = Out.find(Tag);
+    ASSERT_NE(At, std::string::npos) << Out;
+    const double PrintedMB = std::atof(Out.c_str() + At + Tag.size());
+    struct stat St {};
+    ASSERT_EQ(::stat(Log.c_str(), &St), 0);
+    EXPECT_NEAR(PrintedMB, static_cast<double>(St.st_size) / 1e6, 0.0006)
+        << Format << ": " << Out;
+    std::remove(Log.c_str());
+    std::remove((Log + ".metrics.json").c_str());
+  }
+}
+
 TEST(ToolsTest, FsckRejectsGarbageAndMissingFiles) {
   auto [MissingCode, MissingOut] =
       runCommand(toolPath("literace-fsck") + " /nonexistent/log.bin");

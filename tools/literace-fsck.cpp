@@ -233,8 +233,14 @@ int main(int Argc, char **Argv) {
   const TraceReadStats &S = Read.Stats;
 
   if (Segments && S.Format == TraceFormat::V2Segmented) {
+    std::string ScanError;
+    const std::vector<SegmentInfo> Inventory = scanSegments(Path, &ScanError);
+    if (!ScanError.empty()) {
+      std::fprintf(stderr, "%s: %s\n", Path.c_str(), ScanError.c_str());
+      return 1;
+    }
     std::printf("    offset        tid     events    payload  crc\n");
-    for (const SegmentInfo &Seg : scanSegments(Path)) {
+    for (const SegmentInfo &Seg : Inventory) {
       if (Seg.IsFooter) {
         std::printf("%10llu     footer                        %s\n",
                     static_cast<unsigned long long>(Seg.Offset),

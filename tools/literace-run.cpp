@@ -90,6 +90,7 @@
 #include <string>
 #include <thread>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace literace;
@@ -468,11 +469,18 @@ int main(int Argc, char **Argv) {
   ActiveSink = nullptr;
 
   RuntimeStats Stats = RT.stats();
+  // The size on disk: the sink's byte count is raw record payload, which
+  // overstates a compressed (v2z) log several-fold.
+  struct stat OutStat {};
+  const uint64_t FileBytes =
+      ::stat(OutPath.c_str(), &OutStat) == 0
+          ? static_cast<uint64_t>(OutStat.st_size)
+          : 0;
   std::fprintf(stderr,
-               "wrote %s (%s): %.1f MB, %llu memory ops, %llu sync ops, "
+               "wrote %s (%s): %.3f MB, %llu memory ops, %llu sync ops, "
                "%u threads, %zu functions\n",
                OutPath.c_str(), Format.c_str(),
-               static_cast<double>(Sink->bytesWritten()) / 1e6,
+               static_cast<double>(FileBytes) / 1e6,
                static_cast<unsigned long long>(Stats.MemOpsLogged),
                static_cast<unsigned long long>(Stats.SyncOps),
                RT.numThreads(), RT.registry().size());
