@@ -27,6 +27,11 @@
 // lost bytes and missed races. The "fault_sweep" JSON rows are keyed by
 // {spool, tears_per_client}.
 //
+// Every row reports delivered_share, the events ingested over the events
+// sent. Only a lossless row (share 1) carries events_per_sec: a stream
+// cut short finishes sooner, and its rate would count events that never
+// arrived.
+//
 //===----------------------------------------------------------------------===//
 
 #include "collector/Collector.h"
@@ -50,10 +55,44 @@ using namespace literace::collector;
 
 namespace {
 
+/// Events ingested over events sent.
+double deliveredShare(uint64_t Ingested, unsigned Clients,
+                      size_t EventsPerClient) {
+  return static_cast<double>(Ingested) /
+         (static_cast<double>(Clients) * static_cast<double>(EventsPerClient));
+}
+
+/// Ingest rate of a lossless row; 0 (not reported) when events were lost.
+double losslessRate(double Share, unsigned Clients, size_t EventsPerClient,
+                    double Seconds) {
+  return Share == 1.0 ? static_cast<double>(Clients) *
+                            static_cast<double>(EventsPerClient) / Seconds
+                      : 0.0;
+}
+
+/// The JSON member of a rate: empty for a lossy row.
+std::string rateJson(double EventsPerSec) {
+  if (EventsPerSec == 0.0)
+    return "";
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "\"events_per_sec\": %.1f, ", EventsPerSec);
+  return Buf;
+}
+
+/// The table cell of a rate: "-" for a lossy row.
+std::string rateCell(double EventsPerSec) {
+  if (EventsPerSec == 0.0)
+    return "-";
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.1f", EventsPerSec / 1e6);
+  return Buf;
+}
+
 struct Result {
   unsigned Clients = 0;
   double Seconds = 0.0;
   double EventsPerSec = 0.0;
+  double DeliveredShare = 0.0;
   uint64_t EventsIngested = 0;
   uint64_t BytesIngested = 0;
   size_t DistinctRaces = 0;
@@ -176,9 +215,9 @@ Result runClients(unsigned Clients, const std::vector<uint8_t> &Bytes,
   R.QueueDepthHighWater = jsonU64(Status, "high_water");
   R.ProducerParks = jsonU64(Status, "producer_parks");
   R.DistinctRaces = Server.triage().distinctRaces();
+  R.DeliveredShare = deliveredShare(R.EventsIngested, Clients, EventsPerClient);
   R.EventsPerSec =
-      static_cast<double>(Clients) * static_cast<double>(EventsPerClient) /
-      R.Seconds;
+      losslessRate(R.DeliveredShare, Clients, EventsPerClient, R.Seconds);
   std::remove(Socket.c_str());
   return R;
 }
@@ -188,6 +227,7 @@ struct FaultResult {
   unsigned TearsPerClient = 0;
   double Seconds = 0.0;
   double EventsPerSec = 0.0;
+  double DeliveredShare = 0.0;
   uint64_t EventsIngested = 0;
   uint64_t BytesLost = 0;
   uint64_t Reconnects = 0;
@@ -288,9 +328,9 @@ FaultResult runFaulted(bool Spool, unsigned Tears, unsigned Clients,
   R.Reconnects = Reconnects.load();
   R.ReplayedBytes = Replayed.load();
   R.DistinctRaces = Server.triage().distinctRaces();
+  R.DeliveredShare = deliveredShare(R.EventsIngested, Clients, EventsPerClient);
   R.EventsPerSec =
-      static_cast<double>(Clients) * static_cast<double>(EventsPerClient) /
-      R.Seconds;
+      losslessRate(R.DeliveredShare, Clients, EventsPerClient, R.Seconds);
   std::remove(Socket.c_str());
   return R;
 }
@@ -332,13 +372,15 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr,
                "\nCollector ingest throughput (decode + detect + triage, "
                "wall-clocked to last session)\n");
-  std::fprintf(stderr, "  %-8s %-9s %-12s %-8s %-10s %-7s\n", "Clients",
-               "Time", "M events/s", "Races", "Queue HW", "Parks");
+  std::fprintf(stderr, "  %-8s %-9s %-12s %-10s %-8s %-10s %-7s\n",
+               "Clients", "Time", "M events/s", "Delivered", "Races",
+               "Queue HW", "Parks");
   for (const Result &R : Results)
-    std::fprintf(stderr, "  %-8u %-9s %-12.1f %-8zu %-10llu %-7llu\n",
+    std::fprintf(stderr, "  %-8u %-9s %-12s %-10.4f %-8zu %-10llu %-7llu\n",
                  R.Clients,
                  (std::to_string(R.Seconds).substr(0, 5) + "s").c_str(),
-                 R.EventsPerSec / 1e6, R.DistinctRaces,
+                 rateCell(R.EventsPerSec).c_str(), R.DeliveredShare,
+                 R.DistinctRaces,
                  static_cast<unsigned long long>(R.QueueDepthHighWater),
                  static_cast<unsigned long long>(R.ProducerParks));
 
@@ -363,15 +405,17 @@ int main(int Argc, char **Argv) {
                "\nFault-injected ingest (%u clients, connection torn "
                "every size/N bytes)\n",
                FaultClients);
-  std::fprintf(stderr, "  %-7s %-7s %-9s %-12s %-12s %-7s %-12s %-7s\n",
-               "Spool", "Tears", "Time", "M events/s", "Lost bytes",
-               "Reconn", "Replayed", "Races");
+  std::fprintf(stderr,
+               "  %-7s %-7s %-9s %-12s %-10s %-12s %-7s %-12s %-7s\n",
+               "Spool", "Tears", "Time", "M events/s", "Delivered",
+               "Lost bytes", "Reconn", "Replayed", "Races");
   for (const FaultResult &R : Faulted)
     std::fprintf(stderr,
-                 "  %-7s %-7u %-9s %-12.1f %-12llu %-7llu %-12llu %-7zu\n",
+                 "  %-7s %-7u %-9s %-12s %-10.4f %-12llu %-7llu %-12llu "
+                 "%-7zu\n",
                  R.Spool ? "on" : "off", R.TearsPerClient,
                  (std::to_string(R.Seconds).substr(0, 5) + "s").c_str(),
-                 R.EventsPerSec / 1e6,
+                 rateCell(R.EventsPerSec).c_str(), R.DeliveredShare,
                  static_cast<unsigned long long>(R.BytesLost),
                  static_cast<unsigned long long>(R.Reconnects),
                  static_cast<unsigned long long>(R.ReplayedBytes),
@@ -406,12 +450,12 @@ int main(int Argc, char **Argv) {
       const Result &R = Results[I];
       std::fprintf(
           File,
-          "    {\"clients\": %u, \"seconds\": %.6f, "
-          "\"events_per_sec\": %.1f, \"events_ingested\": %llu, "
+          "    {\"clients\": %u, \"seconds\": %.6f, %s"
+          "\"delivered_share\": %.6f, \"events_ingested\": %llu, "
           "\"bytes_ingested\": %llu, \"distinct_races\": %zu, "
           "\"queue_depth_highwater\": %llu, \"producer_parks\": %llu}%s\n",
-          R.Clients, R.Seconds, R.EventsPerSec,
-          static_cast<unsigned long long>(R.EventsIngested),
+          R.Clients, R.Seconds, rateJson(R.EventsPerSec).c_str(),
+          R.DeliveredShare, static_cast<unsigned long long>(R.EventsIngested),
           static_cast<unsigned long long>(R.BytesIngested),
           R.DistinctRaces,
           static_cast<unsigned long long>(R.QueueDepthHighWater),
@@ -425,12 +469,13 @@ int main(int Argc, char **Argv) {
       std::fprintf(
           File,
           "    {\"spool\": %s, \"tears_per_client\": %u, "
-          "\"seconds\": %.6f, \"events_per_sec\": %.1f, "
+          "\"seconds\": %.6f, %s\"delivered_share\": %.6f, "
           "\"events_ingested\": %llu, \"bytes_lost\": %llu, "
           "\"reconnects\": %llu, \"replayed_bytes\": %llu, "
           "\"distinct_races\": %zu}%s\n",
           R.Spool ? "true" : "false", R.TearsPerClient, R.Seconds,
-          R.EventsPerSec, static_cast<unsigned long long>(R.EventsIngested),
+          rateJson(R.EventsPerSec).c_str(), R.DeliveredShare,
+          static_cast<unsigned long long>(R.EventsIngested),
           static_cast<unsigned long long>(R.BytesLost),
           static_cast<unsigned long long>(R.Reconnects),
           static_cast<unsigned long long>(R.ReplayedBytes), R.DistinctRaces,

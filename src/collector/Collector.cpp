@@ -99,13 +99,11 @@ void pokeUnix(const std::string &Path) {
 
 } // namespace
 
-/// Lane-private detection state of one in-flight session. Exactly one
-/// of Serial/Sharded is non-null once the first item arrives.
+/// Lane-private detection state of one in-flight session. Session is
+/// created when the first item arrives (it carries the counter count).
 struct CollectorServer::Detection {
-  std::unique_ptr<ReplayScheduler> Scheduler;
-  std::unique_ptr<HBDetector> Serial;
-  std::unique_ptr<ShardedHBDetector> Sharded;
   RaceReport Report;
+  std::unique_ptr<DetectionSession> Session;
   /// Dynamic counts already forwarded to triage, per site pair. Seeded
   /// from the checkpoint for recovered sessions, so journal replay only
   /// contributes the delta. Guarded by PublishLock (checkpoints read it
@@ -118,11 +116,6 @@ struct CollectorServer::Detection {
   /// journal replay feeds each thread's stream beyond this prefix.
   std::vector<uint64_t> AddedPerTid;
   std::shared_ptr<SessionState> State;
-
-  TraceConsumer &consumer() {
-    return Sharded ? static_cast<TraceConsumer &>(*Sharded)
-                   : static_cast<TraceConsumer &>(*Serial);
-  }
 };
 
 struct CollectorServer::Lane {
@@ -850,8 +843,20 @@ void CollectorServer::publish(Detection &D, uint64_t SessionId) {
   }
 }
 
-void CollectorServer::replaySpilledTail(Detection &D, const IngestItem &End) {
-  if (!D.State || D.State->JournalPath.empty() || !D.Scheduler)
+void CollectorServer::noteDelivered(Detection &D, size_t Delivered) {
+  const size_t Pending = D.Session->scheduler().pendingEvents();
+  D.State->Events.fetch_add(Delivered, std::memory_order_relaxed);
+  D.State->PendingEvents.store(Pending, std::memory_order_relaxed);
+  if (Metrics) {
+    telemetry::ThreadSlab &Slab = Metrics->threadSlab();
+    Slab.add(Metrics->counter("collector.events.ingested"), Delivered);
+    Slab.gaugeMax(Metrics->gaugeMax("collector.scheduler.pending_events"),
+                  Pending);
+  }
+}
+
+void CollectorServer::replaySpilledTail(Detection &D) {
+  if (!D.State || D.State->JournalPath.empty())
     return;
   const TraceReadResult R = readTrace(D.State->JournalPath);
   if (!R.readable())
@@ -865,12 +870,11 @@ void CollectorServer::replaySpilledTail(Detection &D, const IngestItem &End) {
       // Chunks stop entering the queue once a session starts spilling
       // and never resume, so what detection saw is exactly each
       // thread's stream prefix; feed the rest.
-      D.Scheduler->addEvents(static_cast<ThreadId>(Tid),
-                             Stream.data() + Done, Stream.size() - Done);
+      D.Session->addChunk(static_cast<ThreadId>(Tid),
+                          {Stream.begin() + Done, Stream.end()});
       Replayed += Stream.size() - Done;
     }
   }
-  (void)End;
   if (Metrics && Replayed)
     Metrics->threadSlab().add(
         Metrics->counter("collector.spill.replayed_events"), Replayed);
@@ -889,27 +893,17 @@ void CollectorServer::maybeCheckpoint() {
 
 void CollectorServer::finishSession(Lane &L, Detection &D,
                                     const IngestItem &End) {
-  uint64_t Gaps = 0;
-  if (D.Scheduler) {
-    size_t Delivered = D.Scheduler->drain(D.consumer());
-    if (!D.Scheduler->fullyDrained()) {
-      // Dropped segments punched holes into the timestamp order; skip
-      // them like file salvage does instead of stalling forever.
-      Delivered += D.Scheduler->drainAllowingGaps(D.consumer());
-      Gaps = D.Scheduler->timestampGaps();
-    }
-    if (Delivered) {
-      D.State->Events.fetch_add(Delivered, std::memory_order_relaxed);
-      if (Metrics)
-        Metrics->threadSlab().add(
-            Metrics->counter("collector.events.ingested"), Delivered);
-    }
-    if (D.Sharded)
-      D.Sharded->finish(D.Report);
+  if (End.ReplayTail)
+    replaySpilledTail(D);
+  // Dropped segments punched holes into the timestamp order; skip them
+  // like file salvage does instead of stalling forever.
+  noteDelivered(D, D.Session->finish(/*AllowGaps=*/true));
+  {
     std::lock_guard<std::mutex> Guard(PublishLock);
     publish(D, End.SessionId);
   }
-  D.State->TimestampGaps.store(Gaps, std::memory_order_relaxed);
+  D.State->TimestampGaps.store(D.Session->scheduler().timestampGaps(),
+                               std::memory_order_relaxed);
   D.State->Clean.store(End.Clean, std::memory_order_relaxed);
   D.State->Active.store(false, std::memory_order_relaxed);
   {
@@ -1005,31 +999,23 @@ void CollectorServer::laneLoop(Lane &L) {
       }
     }
     Detection &D = It->second;
-    if (!D.Scheduler) {
-      D.Scheduler = std::make_unique<ReplayScheduler>(Item.NumCounters);
-      if (Config.Shards > 1) {
-        DetectorOptions Opts;
-        Opts.Shards = Config.Shards;
-        D.Sharded = std::make_unique<ShardedHBDetector>(Opts);
-      } else {
-        D.Serial = std::make_unique<HBDetector>(D.Report);
-      }
+    if (!D.Session) {
+      DetectorOptions Opts;
+      Opts.Shards = Config.Shards;
+      D.Session = std::make_unique<DetectionSession>(
+          Item.NumCounters, D.Report, ReplayOptions(), Opts);
     }
     if (Item.K == IngestItem::Kind::Chunk) {
       if (D.AddedPerTid.size() <= Item.Tid)
         D.AddedPerTid.resize(static_cast<size_t>(Item.Tid) + 1, 0);
       D.AddedPerTid[Item.Tid] += Item.Records.size();
-      D.Scheduler->addEvents(Item.Tid, Item.Records.data(),
-                             Item.Records.size());
-      const size_t Delivered = D.Scheduler->drain(D.consumer());
-      D.State->Events.fetch_add(Delivered, std::memory_order_relaxed);
-      if (Metrics && Delivered)
-        Metrics->threadSlab().add(
-            Metrics->counter("collector.events.ingested"), Delivered);
+      D.Session->addChunk(Item.Tid, std::move(Item.Records));
+      noteDelivered(D, D.Session->drain());
       // The serial detector's report is live; surface new sightings as
       // they happen. (The sharded pipeline merges at session end.)
-      const bool Fresh = D.Serial && D.Report.numDynamicSightings() !=
-                                         D.SightingsPublished;
+      const bool Fresh =
+          D.Session->liveReport() &&
+          D.Report.numDynamicSightings() != D.SightingsPublished;
       if (Fresh || CheckpointRequested.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> Guard(PublishLock);
         if (Fresh)
@@ -1037,8 +1023,6 @@ void CollectorServer::laneLoop(Lane &L) {
         maybeCheckpoint();
       }
     } else {
-      if (Item.ReplayTail)
-        replaySpilledTail(D, Item);
       finishSession(L, D, Item);
       std::lock_guard<std::mutex> Guard(PublishLock);
       if (!Config.SpoolDir.empty()) {
@@ -1066,8 +1050,6 @@ void CollectorServer::laneLoop(Lane &L) {
     End.Clean = false;
     End.ReplayTail =
         D.State && D.State->Spilling.load(std::memory_order_relaxed);
-    if (End.ReplayTail)
-      replaySpilledTail(D, End);
     finishSession(L, D, End);
     if (D.State && !D.State->JournalPath.empty())
       ::unlink(D.State->JournalPath.c_str());
@@ -1291,6 +1273,7 @@ std::vector<SessionStatus> CollectorServer::sessionStatuses() const {
         State->SegmentsDropped.load(std::memory_order_relaxed);
     S.BytesDropped = State->BytesDropped.load(std::memory_order_relaxed);
     S.TimestampGaps = State->TimestampGaps.load(std::memory_order_relaxed);
+    S.PendingEvents = State->PendingEvents.load(std::memory_order_relaxed);
     S.Races = State->Races.load(std::memory_order_relaxed);
     S.Resumable = State->ResumableSession;
     S.Detached = State->Detached.load(std::memory_order_relaxed);
@@ -1420,6 +1403,8 @@ std::string CollectorServer::statusJson() const {
     appendU64(J, S.BytesDropped);
     J += ", \"timestamp_gaps\": ";
     appendU64(J, S.TimestampGaps);
+    J += ", \"pending_events\": ";
+    appendU64(J, S.PendingEvents);
     J += ", \"races\": ";
     appendU64(J, S.Races);
     J += ", \"resumable\": ";

@@ -15,8 +15,9 @@
 ///                                       session's lane queue
 ///                                                   │
 ///   detection lanes (fixed pool; a session stays on one lane)
-///        lane k: queue ─► per-session ReplayScheduler + HBDetector
-///                         (or sharded), no shared lock held
+///        lane k: queue ─► per-session DetectionSession: chunks moved
+///                         into its ReplayScheduler, drained run-batched
+///                         into HBDetector (or sharded), no shared lock
 ///                             │ race-count deltas
 ///        publish lock ──► ReportTriage (dedup / suppress / limit)
 ///                         + triage checkpoint over every lane
@@ -26,7 +27,9 @@
 /// each session's events are still consumed in stream order by one
 /// thread. The lanes meet only at the publish lock, which serializes
 /// triage updates and checkpoints: a checkpoint's totals and its
-/// per-session entries are one consistent snapshot.
+/// per-session entries are one consistent snapshot. A session's events
+/// wait in its scheduler for the timestamps before them, which usually
+/// arrive only with the producer's last chunk (docs/COLLECTOR.md).
 ///
 /// Live observability rides on top: statusJson() / racesJson() /
 /// metricsText() render the daemon state, and serveHttpUnix() /
@@ -61,9 +64,7 @@
 #include "collector/Checkpoint.h"
 #include "collector/ReportTriage.h"
 #include "collector/Suppressions.h"
-#include "detector/HBDetector.h"
-#include "detector/Replay.h"
-#include "detector/ShardedDetector.h"
+#include "detector/OnlineDetector.h"
 #include "runtime/EventLog.h"
 #include "telemetry/Metrics.h"
 
@@ -136,6 +137,9 @@ struct SessionStatus {
   uint64_t SegmentsDropped = 0;
   uint64_t BytesDropped = 0; ///< shed/corrupt bytes, declared gaps included
   uint64_t TimestampGaps = 0;
+  /// Events held in the scheduler waiting on a timestamp: a lagging or
+  /// blocked producer thread (docs/COLLECTOR.md).
+  uint64_t PendingEvents = 0;
   uint64_t Races = 0; ///< distinct static races in this session
   bool Resumable = false; ///< spoke the resumable stream handshake
   bool Detached = false;  ///< live but currently between connections
@@ -261,6 +265,7 @@ private:
     std::atomic<uint64_t> SegmentsDropped{0};
     std::atomic<uint64_t> BytesDropped{0};
     std::atomic<uint64_t> TimestampGaps{0};
+    std::atomic<uint64_t> PendingEvents{0};
     std::atomic<uint64_t> Races{0};
     /// Client-stream offset acked as durable (journaled bytes plus
     /// declared resume gaps).
@@ -303,6 +308,8 @@ private:
   void laneLoop(Lane &L);
   void housekeepingLoop();
   void httpLoop(int ListenFd);
+  /// Accounts \p Delivered events of \p D and its pending gauge.
+  void noteDelivered(Detection &D, size_t Delivered);
   /// Forwards \p D's new race counts to triage (PublishLock held).
   void publish(Detection &D, uint64_t SessionId);
   /// Checkpoints if a resume gap asked for one or enough updates were
@@ -342,7 +349,7 @@ private:
   void recoverFromSpool();
   /// Re-reads a spilled session's journal and feeds each thread's tail
   /// beyond what detection already consumed.
-  void replaySpilledTail(Detection &D, const IngestItem &End);
+  void replaySpilledTail(Detection &D);
   /// Writes the triage checkpoint (PublishLock held): triage state plus
   /// every lane's in-flight sessions, whose Published maps make replay
   /// idempotent.

@@ -12,15 +12,40 @@
 
 using namespace literace;
 
-OnlineDetector::OnlineDetector(unsigned NumTimestampCounters,
-                               RaceReport &Report, ReplayOptions Options,
-                               DetectorOptions Detector)
-    : Scheduler(NumTimestampCounters, Options), Options(Options),
-      Report(Report) {
+DetectionSession::DetectionSession(unsigned NumTimestampCounters,
+                                   RaceReport &Report, ReplayOptions Options,
+                                   DetectorOptions Detector)
+    : Report(Report), Scheduler(NumTimestampCounters, Options) {
   if (Detector.Shards > 1)
     Sharded = std::make_unique<ShardedHBDetector>(Detector);
   else
     Serial = std::make_unique<HBDetector>(Report);
+}
+
+size_t DetectionSession::drain() {
+  return Sharded ? Scheduler.drainWith(*Sharded)
+                 : Scheduler.drainWith(*Serial);
+}
+
+size_t DetectionSession::finish(bool AllowGaps) {
+  size_t Delivered = drain();
+  // Events still blocked on timestamps that never arrived (a crashed
+  // producer, dropped segments) are drained past coverage gaps now that
+  // end-of-stream is certain.
+  if (AllowGaps && !Scheduler.fullyDrained())
+    Delivered += Sharded ? Scheduler.drainAllowingGapsWith(*Sharded)
+                         : Scheduler.drainAllowingGapsWith(*Serial);
+  // The sharded fan-out has its own workers to stop and a merge to run.
+  if (Sharded)
+    Sharded->finish(Report);
+  return Delivered;
+}
+
+OnlineDetector::OnlineDetector(unsigned NumTimestampCounters,
+                               RaceReport &Report, ReplayOptions Options,
+                               DetectorOptions Detector)
+    : Session(NumTimestampCounters, Report, Options, Detector),
+      Options(Options) {
   Worker = std::thread([this] { workerLoop(); });
 }
 
@@ -49,10 +74,6 @@ uint64_t OnlineDetector::chunksReceived() const {
   return Chunks;
 }
 
-uint64_t OnlineDetector::timestampGaps() const {
-  return Scheduler.timestampGaps();
-}
-
 bool OnlineDetector::finish() {
   {
     std::lock_guard<std::mutex> Guard(Lock);
@@ -63,21 +84,14 @@ bool OnlineDetector::finish() {
   Ready.notify_one();
   if (Worker.joinable())
     Worker.join();
-  // With gap tolerance, events blocked on timestamps that never arrived
-  // (the producer crashed, or segments were lost) are drained past
-  // coverage gaps now that end-of-stream is certain. The worker is
-  // joined, so the scheduler and detectors are safe to touch here.
-  if (Options.AllowTimestampGaps && !Scheduler.fullyDrained())
-    Processed.fetch_add(Scheduler.drainAllowingGaps(consumer()),
-                        std::memory_order_relaxed);
-  // The sharded fan-out has its own workers to stop and a merge to run.
-  if (Sharded)
-    Sharded->finish(Report);
+  // The worker is joined, so the session is safe to touch here.
+  Processed.fetch_add(Session.finish(Options.AllowTimestampGaps),
+                      std::memory_order_relaxed);
   // Anything still pending means some timestamp never arrived: the stream
   // was inconsistent (or truncated).
   {
     std::lock_guard<std::mutex> Guard(Lock);
-    Consistent = Scheduler.fullyDrained();
+    Consistent = Session.scheduler().fullyDrained();
   }
   // Online-plane telemetry, folded once per detector (the first finish()
   // to get here joined the worker, so the counts are final).
@@ -102,10 +116,8 @@ void OnlineDetector::workerLoop() {
         return;
     }
     for (auto &Chunk : Batch)
-      Scheduler.addEvents(Chunk.first, Chunk.second.data(),
-                          Chunk.second.size());
+      Session.addChunk(Chunk.first, std::move(Chunk.second));
     Batch.clear();
-    Processed.fetch_add(Scheduler.drain(consumer()),
-                        std::memory_order_relaxed);
+    Processed.fetch_add(Session.drain(), std::memory_order_relaxed);
   }
 }

@@ -9,8 +9,9 @@
 /// offline, but notes that the same stream could be consumed by a detector
 /// running concurrently on a spare core. OnlineDetector implements that: it
 /// is a LogSink, so a Runtime can write straight into it; a worker thread
-/// drains arriving chunks through the incremental ReplayScheduler into an
-/// HBDetector while the instrumented program keeps running.
+/// runs a DetectionSession over the arriving chunks while the
+/// instrumented program keeps running. The collector daemon runs one
+/// DetectionSession per client stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,46 @@
 #include <vector>
 
 namespace literace {
+
+/// Detection of one event stream that arrives chunk by chunk: the
+/// incremental ReplayScheduler, the serial HBDetector or sharded fan-out
+/// it drains into (statically typed, memory runs batched), the report
+/// they fill, and the end-of-stream gap drain. Not thread-safe; callers
+/// serialize.
+class DetectionSession {
+public:
+  /// Races accumulate into \p Report; with Detector.Shards > 1 they are
+  /// merged into it only by finish() (see ShardedDetector.h).
+  DetectionSession(unsigned NumTimestampCounters, RaceReport &Report,
+                   ReplayOptions Options = ReplayOptions(),
+                   DetectorOptions Detector = DetectorOptions());
+
+  /// Adopts \p Chunk (thread \p Tid's next records) without copying.
+  void addChunk(ThreadId Tid, std::vector<EventRecord> &&Chunk) {
+    Scheduler.addChunk(Tid, std::move(Chunk));
+  }
+
+  /// Detects every event that is currently processable; returns how many.
+  size_t drain();
+
+  /// End of stream: drains what is left — past timestamp gaps when
+  /// \p AllowGaps — and merges a sharded session's report. Returns the
+  /// number of events delivered. Call once, after the last add.
+  size_t finish(bool AllowGaps);
+
+  /// True if the report grows while events drain; a sharded session
+  /// fills it only in finish().
+  bool liveReport() const { return !Sharded; }
+
+  /// Pending and delivered counts, timestamp gaps.
+  const ReplayScheduler &scheduler() const { return Scheduler; }
+
+private:
+  RaceReport &Report;
+  ReplayScheduler Scheduler;
+  std::unique_ptr<HBDetector> Serial;
+  std::unique_ptr<ShardedHBDetector> Sharded;
+};
 
 /// A LogSink that performs happens-before detection concurrently with the
 /// instrumented execution.
@@ -57,7 +98,9 @@ public:
 
   /// Timestamp gaps skipped during the final drain (0 unless
   /// AllowTimestampGaps was set and the stream had holes).
-  uint64_t timestampGaps() const;
+  uint64_t timestampGaps() const {
+    return Session.scheduler().timestampGaps();
+  }
 
   /// Events processed so far (approximate while running).
   uint64_t eventsProcessed() const {
@@ -74,18 +117,8 @@ public:
 private:
   void workerLoop();
 
-  /// The consumer the drain worker feeds: the serial detector or the
-  /// sharded fan-out (exactly one is non-null).
-  TraceConsumer &consumer() {
-    return Sharded ? static_cast<TraceConsumer &>(*Sharded)
-                   : static_cast<TraceConsumer &>(*Serial);
-  }
-
-  ReplayScheduler Scheduler;
+  DetectionSession Session;
   ReplayOptions Options;
-  RaceReport &Report;
-  std::unique_ptr<HBDetector> Serial;
-  std::unique_ptr<ShardedHBDetector> Sharded;
 
   mutable std::mutex Lock;
   std::condition_variable Ready;

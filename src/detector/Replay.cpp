@@ -6,7 +6,7 @@
 
 #include "detector/Replay.h"
 
-#include <cassert>
+#include <limits>
 
 using namespace literace;
 
@@ -16,9 +16,6 @@ void TraceConsumer::onCoverageGap() {}
 
 bool literace::replayTrace(const Trace &T, TraceConsumer &Consumer,
                            const ReplayOptions &Options) {
-  // The base-class instantiation of the shared loop: one virtual call
-  // per event. Detection wrappers use replayTraceWith<ConcreteDetector>
-  // directly so the per-event dispatch inlines away.
   return replayTraceWith(T, Consumer, Options);
 }
 
@@ -27,81 +24,58 @@ ReplayScheduler::ReplayScheduler(unsigned NumTimestampCounters,
     : NumCounters(NumTimestampCounters), Options(Options),
       NextTs(NumTimestampCounters, 1) {}
 
+ReplayScheduler::ReplayScheduler(const Trace &T, ReplayOptions Options)
+    : ReplayScheduler(T.NumTimestampCounters, Options) {
+  for (size_t Tid = 0; Tid != T.PerThread.size(); ++Tid)
+    add(static_cast<ThreadId>(Tid),
+        {{}, T.PerThread[Tid].data(), T.PerThread[Tid].size()});
+}
+
 void ReplayScheduler::addEvents(ThreadId Tid, const EventRecord *Records,
                                 size_t Count) {
+  add(Tid, {std::vector<EventRecord>(Records, Records + Count)});
+}
+
+void ReplayScheduler::addChunk(ThreadId Tid,
+                               std::vector<EventRecord> &&Chunk) {
+  add(Tid, {std::move(Chunk)});
+}
+
+void ReplayScheduler::add(ThreadId Tid, Chunk &&C) {
+  if (C.size() == 0)
+    return;
   if (Tid >= Streams.size())
     Streams.resize(Tid + 1);
-  Streams[Tid].insert(Streams[Tid].end(), Records, Records + Count);
-  Pending += Count;
+  Pending += C.size();
+  Streams[Tid].Chunks.push_back(std::move(C));
 }
 
-size_t ReplayScheduler::drainImpl(TraceConsumer &Consumer, bool AllowStale) {
-  size_t Delivered = 0;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (auto &Stream : Streams) {
-      while (!Stream.empty()) {
-        const EventRecord &R = Stream.front();
-        if (isSyncKind(R.Kind)) {
-          if (R.Ts == 0) {
-            // Salvage mode delivers timestamp-less sync events without a
-            // constraint; incremental strict mode leaves them queued (the
-            // stream is inconsistent and finish() will say so).
-            if (!AllowStale)
-              break;
-            Consumer.onEvent(R);
-          } else {
-            unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
-            if (R.Ts == NextTs[Counter]) {
-              ++NextTs[Counter];
-              Consumer.onEvent(R);
-            } else if (AllowStale && R.Ts < NextTs[Counter]) {
-              // Counter was gap-advanced past this event; the gap
-              // barrier already covers its ordering.
-              Consumer.onEvent(R);
-            } else {
-              break; // Waits for timestamps possibly not yet added.
-            }
-          }
-        } else if (replay_detail::passesFilter(R, Options)) {
-          Consumer.onEvent(R);
-        }
-        Stream.pop_front();
-        --Pending;
-        ++Delivered;
-        Progress = true;
-      }
+bool ReplayScheduler::skipToEarliestBlockedEvent() {
+  // Only a sync front with a real timestamp strictly ahead of its counter
+  // blocks; non-sync and timestamp-less fronts are delivered by a stale
+  // drain. The smallest blocked timestamp wins, so the choice does not
+  // depend on stream order: equal timestamps on one counter pick the
+  // same skip, and of equal ones on two counters the next round takes
+  // the other.
+  uint64_t BestTs = std::numeric_limits<uint64_t>::max();
+  unsigned BestCounter = NumCounters;
+  for (const Stream &S : Streams) {
+    if (S.Chunks.empty())
+      continue;
+    const EventRecord &R = S.Chunks.front().data()[S.Head];
+    if (!isSyncKind(R.Kind) || R.Ts == 0)
+      continue;
+    const unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
+    if (R.Ts > NextTs[Counter] && R.Ts < BestTs) {
+      BestTs = R.Ts;
+      BestCounter = Counter;
     }
   }
-  return Delivered;
-}
-
-size_t ReplayScheduler::drain(TraceConsumer &Consumer) {
-  return drainImpl(Consumer, /*AllowStale=*/false);
-}
-
-size_t ReplayScheduler::drainAllowingGaps(TraceConsumer &Consumer) {
-  size_t Delivered = drainImpl(Consumer, /*AllowStale=*/true);
-  while (Pending > 0) {
-    // No more input is coming: whatever each stream is blocked on was
-    // lost with a dropped segment. Skip the earliest gap and keep going,
-    // through the helper shared with the batch replayTrace path.
-    auto Skip = replay_detail::findEarliestBlockedEvent(
-        [&](auto &&Visit) {
-          for (const auto &Stream : Streams)
-            if (!Stream.empty())
-              Visit(Stream.front());
-        },
-        NextTs, NumCounters);
-    if (!Skip)
-      break; // Defensive; drainImpl(AllowStale) consumes everything else.
-    NextTs[Skip->Counter] = Skip->Ts;
-    ++Gaps;
-    if (Options.OutTimestampGaps)
-      ++*Options.OutTimestampGaps;
-    Consumer.onCoverageGap();
-    Delivered += drainImpl(Consumer, /*AllowStale=*/true);
-  }
-  return Delivered;
+  if (BestCounter == NumCounters)
+    return false;
+  NextTs[BestCounter] = BestTs;
+  ++Gaps;
+  if (Options.OutTimestampGaps)
+    ++*Options.OutTimestampGaps;
+  return true;
 }

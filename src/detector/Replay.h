@@ -28,10 +28,9 @@
 #include "runtime/EventLog.h"
 #include "runtime/TimestampManager.h"
 
+#include <concepts>
 #include <cstdint>
 #include <deque>
-#include <limits>
-#include <optional>
 #include <vector>
 
 namespace literace {
@@ -80,197 +79,71 @@ struct DetectorOptions {
 
 namespace replay_detail {
 
-/// Returns true if \p R should be handed to the consumer under \p Options.
-inline bool passesFilter(const EventRecord &R, const ReplayOptions &Options) {
-  if (!isMemoryKind(R.Kind) || Options.SamplerSlot < 0)
-    return true;
-  return (R.Mask & (1u << Options.SamplerSlot)) != 0;
-}
-
-/// The gap to skip when every stream is stalled: which counter to
-/// advance, and to what timestamp.
-struct GapSkip {
-  unsigned Counter = 0;
-  uint64_t Ts = 0;
+/// Detectors with onMemoryRun(records, max) take unfiltered memory events
+/// a whole program-order run at a time (up to the thread's next sync
+/// event), hoisting the per-thread clock lookup out of their hot loop.
+/// The consumer returns how many leading memory events it consumed; the
+/// delivered sequence is exactly the one per-event delivery would give.
+template <typename ConsumerT>
+concept MemoryRunSink = requires(ConsumerT &C, const EventRecord *P,
+                                 size_t N) {
+  { C.onMemoryRun(P, N) } -> std::convertible_to<size_t>;
 };
-
-/// Shared earliest-blocked-event scan used by both gap-tolerant replay
-/// paths (batch replayTrace and incremental drainAllowingGaps), so their
-/// skip decisions — and therefore the delivered event sequences — cannot
-/// diverge. \p ForEachFront invokes its callback once per non-empty
-/// stream with that stream's front record. A front only blocks replay if
-/// it is a sync event with a real timestamp strictly ahead of its
-/// counter; among those the smallest timestamp wins, which makes the
-/// choice deterministic regardless of stream enumeration order (two
-/// fronts with equal Ts on the same counter pick the same skip; equal Ts
-/// on different counters cannot both be minimal more than once per
-/// round, and the next round handles the other).
-template <typename ForEachFrontFn>
-std::optional<GapSkip>
-findEarliestBlockedEvent(ForEachFrontFn &&ForEachFront,
-                         const std::vector<uint64_t> &NextTs,
-                         unsigned NumCounters) {
-  GapSkip Best;
-  Best.Ts = std::numeric_limits<uint64_t>::max();
-  bool Found = false;
-  ForEachFront([&](const EventRecord &R) {
-    // Non-sync and timestamp-less fronts never block (gap-tolerant
-    // drains deliver them unconditionally); a sync front at or behind
-    // its counter is deliverable, not blocked.
-    if (!isSyncKind(R.Kind) || R.Ts == 0)
-      return;
-    const unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
-    if (R.Ts > NextTs[Counter] && R.Ts < Best.Ts) {
-      Best.Ts = R.Ts;
-      Best.Counter = Counter;
-      Found = true;
-    }
-  });
-  if (!Found)
-    return std::nullopt;
-  return Best;
-}
 
 } // namespace replay_detail
 
-/// Statically typed replay loop: identical delivery order and gap
-/// semantics to replayTrace(), but templated on the concrete consumer so
-/// that a `final` detector's onEvent()/onCoverageGap() devirtualize and
-/// inline straight into the loop — the replay-dispatch overhead on the
-/// serial detection hot path disappears. replayTrace() below is this
-/// template instantiated at the TraceConsumer base (one virtual call per
-/// event), kept for heterogeneous consumers.
-template <typename ConsumerT>
-bool replayTraceWith(const Trace &T, ConsumerT &Consumer,
-                     const ReplayOptions &Options = ReplayOptions()) {
-  const unsigned NumCounters = T.NumTimestampCounters;
-  const size_t NumThreads = T.PerThread.size();
-  std::vector<size_t> Cursor(NumThreads, 0);
-  std::vector<uint64_t> NextTs(NumCounters, 1);
-
-  // Detectors that expose onMemoryRun(records, max) take unfiltered
-  // memory events a whole program-order run at a time (everything up to
-  // the next sync event of the same thread), letting them hoist the
-  // per-thread clock lookup and event dispatch out of their hot loop.
-  // The consumer walks the slice itself and returns how many leading
-  // memory events it consumed, so each record is touched exactly once.
-  // The delivered event sequence is identical to per-event delivery: a
-  // run is exactly the consecutive slice this loop would have handed to
-  // onEvent one record at a time.
-  constexpr bool HasRunSink =
-      requires(ConsumerT &C, const EventRecord *P, size_t N) {
-        { C.onMemoryRun(P, N) } -> std::convertible_to<size_t>;
-      };
-
-  size_t Remaining = T.totalEvents();
-  while (Remaining > 0) {
-    bool Progress = false;
-    for (size_t Tid = 0; Tid != NumThreads; ++Tid) {
-      const auto &Stream = T.PerThread[Tid];
-      size_t &C = Cursor[Tid];
-      while (C < Stream.size()) {
-        const EventRecord &R = Stream[C];
-        if constexpr (HasRunSink) {
-          if (isMemoryKind(R.Kind) && Options.SamplerSlot < 0) {
-            const size_t Consumed =
-                Consumer.onMemoryRun(&Stream[C], Stream.size() - C);
-            Remaining -= Consumed;
-            C += Consumed;
-            Progress = true;
-            continue;
-          }
-        }
-        if (isSyncKind(R.Kind)) {
-          if (R.Ts == 0) {
-            // Malformed: sync event without a timestamp. A salvaged trace
-            // is delivered without an ordering constraint (the gap
-            // machinery keeps detectors conservative); a trusted one is
-            // rejected.
-            if (!Options.AllowTimestampGaps)
-              return false;
-            Consumer.onEvent(R);
-          } else {
-            unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
-            if (R.Ts < NextTs[Counter]) {
-              // Duplicate (strict: inconsistent log) or an event whose
-              // counter was gap-advanced past it; cross-gap order for
-              // this counter is already conservatively barriered, so
-              // deliver without touching the counter.
-              if (!Options.AllowTimestampGaps)
-                return false;
-              Consumer.onEvent(R);
-            } else if (R.Ts == NextTs[Counter]) {
-              ++NextTs[Counter];
-              Consumer.onEvent(R);
-            } else {
-              break; // Not yet enabled; try another thread.
-            }
-          }
-        } else if (replay_detail::passesFilter(R, Options)) {
-          Consumer.onEvent(R);
-        }
-        ++C;
-        --Remaining;
-        Progress = true;
-      }
-    }
-    if (Progress || Remaining == 0)
-      continue;
-    // Every unfinished thread is blocked on a timestamp that never
-    // arrives: with a trusted log that means it is inconsistent; with a
-    // salvaged one, the timestamps died with a dropped segment.
-    if (!Options.AllowTimestampGaps)
-      return false;
-    // Skip the smallest missing range: advance the counter of the
-    // earliest blocked event straight to that event's timestamp, using
-    // the same helper as the incremental path so both deliver identical
-    // sequences on the same gapped trace.
-    auto Skip = replay_detail::findEarliestBlockedEvent(
-        [&](auto &&Visit) {
-          for (size_t Tid = 0; Tid != NumThreads; ++Tid) {
-            const auto &Stream = T.PerThread[Tid];
-            if (Cursor[Tid] < Stream.size())
-              Visit(Stream[Cursor[Tid]]);
-          }
-        },
-        NextTs, NumCounters);
-    if (!Skip)
-      return false; // Defensive; cannot happen while Remaining > 0.
-    NextTs[Skip->Counter] = Skip->Ts;
-    if (Options.OutTimestampGaps)
-      ++*Options.OutTimestampGaps;
-    Consumer.onCoverageGap();
-  }
-  return true;
-}
-
-/// Replays \p T into \p Consumer. Returns false if the log is inconsistent
-/// (a timestamp is missing or duplicated, so no valid order exists); in
-/// that case a prefix may already have been delivered.
-bool replayTrace(const Trace &T, TraceConsumer &Consumer,
-                 const ReplayOptions &Options = ReplayOptions());
-
-/// Incremental version of replayTrace for online detection (§4.4): events
-/// arrive chunk by chunk while the program runs, and drain() delivers
-/// whatever has become processable. Not thread-safe; callers serialize.
+/// The replay scheduler, incremental for online detection (§4.4) and
+/// whole-trace for batch replay: events arrive chunk by chunk while the
+/// program runs, and a drain delivers whatever has become processable.
+/// Each thread's stream is a queue of chunks, adopted without copying
+/// and freed as soon as their last record is delivered. Not thread-safe;
+/// callers serialize.
 class ReplayScheduler {
 public:
   explicit ReplayScheduler(unsigned NumTimestampCounters,
                            ReplayOptions Options = ReplayOptions());
 
-  /// Appends \p Count records of thread \p Tid's stream (program order).
+  /// Schedules every stream of \p T in place, without copying (batch
+  /// replay); \p T must outlive the scheduler.
+  ReplayScheduler(const Trace &T, ReplayOptions Options);
+
+  /// Appends a copy of \p Count records of thread \p Tid's stream
+  /// (program order).
   void addEvents(ThreadId Tid, const EventRecord *Records, size_t Count);
 
-  /// Delivers every event that is currently processable. Returns the
-  /// number delivered.
-  size_t drain(TraceConsumer &Consumer);
+  /// Appends \p Chunk to thread \p Tid's stream without copying it.
+  void addChunk(ThreadId Tid, std::vector<EventRecord> &&Chunk);
 
-  /// End-of-stream drain for salvaged traces: like drain(), but when no
-  /// more input is coming, pending events blocked on timestamps that were
-  /// lost with dropped segments are unblocked by skipping each gap
-  /// (notifying \p Consumer via onCoverageGap()). Call only after the
-  /// last addEvents(); afterwards fullyDrained() is true.
-  size_t drainAllowingGaps(TraceConsumer &Consumer);
+  /// Delivers every event that is currently processable, statically
+  /// typed on the consumer so that a `final` detector's onEvent()
+  /// inlines and a detector with onMemoryRun() takes whole memory runs
+  /// (replay_detail::MemoryRunSink). Returns the number delivered.
+  template <typename ConsumerT> size_t drainWith(ConsumerT &Consumer) {
+    return drainPass(Consumer, /*AllowStale=*/false);
+  }
+
+  /// End-of-stream drain for salvaged traces: like drainWith(), but when
+  /// no more input is coming, pending events blocked on timestamps that
+  /// were lost with dropped segments are unblocked by skipping the
+  /// earliest gap (notifying \p Consumer via onCoverageGap()) until none
+  /// is left. Call only after the last add; afterwards fullyDrained() is
+  /// true.
+  template <typename ConsumerT>
+  size_t drainAllowingGapsWith(ConsumerT &Consumer) {
+    size_t Delivered = drainPass(Consumer, /*AllowStale=*/true);
+    while (Pending > 0 && skipToEarliestBlockedEvent()) {
+      Consumer.onCoverageGap();
+      Delivered += drainPass(Consumer, /*AllowStale=*/true);
+    }
+    return Delivered;
+  }
+
+  /// drainWith() and drainAllowingGapsWith() at the TraceConsumer base:
+  /// one virtual call per event, no run batching.
+  size_t drain(TraceConsumer &Consumer) { return drainWith(Consumer); }
+  size_t drainAllowingGaps(TraceConsumer &Consumer) {
+    return drainAllowingGapsWith(Consumer);
+  }
 
   /// True if every added event has been delivered.
   bool fullyDrained() const { return Pending == 0; }
@@ -282,15 +155,125 @@ public:
   uint64_t timestampGaps() const { return Gaps; }
 
 private:
-  size_t drainImpl(TraceConsumer &Consumer, bool AllowStale);
+  /// Records of one thread's stream: an adopted vector, or a view of a
+  /// trace that outlives the scheduler.
+  struct Chunk {
+    std::vector<EventRecord> Owned;
+    const EventRecord *View = nullptr;
+    size_t ViewSize = 0;
+    const EventRecord *data() const { return View ? View : Owned.data(); }
+    size_t size() const { return View ? ViewSize : Owned.size(); }
+  };
+  /// One thread's pending records; the front chunk is delivered up to
+  /// Head.
+  struct Stream {
+    std::deque<Chunk> Chunks;
+    size_t Head = 0;
+  };
+
+  void add(ThreadId Tid, Chunk &&C);
+
+  /// The one gap rule: once every stream is stalled with no more input
+  /// coming, advances the counter of the earliest blocked front straight
+  /// to its timestamp. False if no front is blocked.
+  bool skipToEarliestBlockedEvent();
+
+  /// Delivers in rounds — each stream in thread order until it blocks —
+  /// until a round makes no progress.
+  template <typename ConsumerT>
+  size_t drainPass(ConsumerT &Consumer, bool AllowStale) {
+    size_t Delivered = 0;
+    for (bool Progress = true; Progress;) {
+      Progress = false;
+      for (Stream &S : Streams) {
+        while (!S.Chunks.empty()) {
+          const size_t Before = S.Head;
+          const bool Done = deliverFront(S, Consumer, AllowStale);
+          Delivered += S.Head - Before;
+          Progress |= S.Head != Before;
+          if (!Done)
+            break;
+          S.Chunks.pop_front();
+          S.Head = 0;
+        }
+      }
+    }
+    Pending -= Delivered;
+    return Delivered;
+  }
+
+  /// The per-stream delivery step: delivers \p S's front chunk from Head
+  /// while its next record is processable (memory runs whole to a
+  /// MemoryRunSink, other memory events through the sampler filter, a
+  /// sync event when its timestamp is next on its counter); true once the
+  /// chunk is used up. With \p AllowStale (gap-tolerant replay), a sync
+  /// event without a timestamp or behind its gap-advanced counter goes
+  /// through unconstrained — the coverage-gap barrier orders it; strict
+  /// replay stops there and leaves the stream pending.
+  template <typename ConsumerT>
+  bool deliverFront(Stream &S, ConsumerT &Consumer, bool AllowStale) {
+    const EventRecord *Records = S.Chunks.front().data();
+    const size_t Count = S.Chunks.front().size();
+    size_t Pos = S.Head;
+    bool Done = true;
+    while (Pos < Count) {
+      const EventRecord &R = Records[Pos];
+      if constexpr (replay_detail::MemoryRunSink<ConsumerT>) {
+        if (isMemoryKind(R.Kind) && Options.SamplerSlot < 0) {
+          Pos += Consumer.onMemoryRun(&R, Count - Pos);
+          continue;
+        }
+      }
+      if (isSyncKind(R.Kind)) {
+        const unsigned Counter = counterForSyncVar(R.Addr, NumCounters);
+        if (R.Ts == NextTs[Counter]) { // Counters start at 1, so Ts != 0.
+          ++NextTs[Counter];
+        } else if (!AllowStale || R.Ts > NextTs[Counter]) {
+          Done = false; // Not yet enabled, duplicate, or malformed.
+          break;
+        }
+        Consumer.onEvent(R);
+      } else if (!isMemoryKind(R.Kind) || Options.SamplerSlot < 0 ||
+                 (R.Mask & (1u << Options.SamplerSlot))) {
+        Consumer.onEvent(R);
+      }
+      ++Pos;
+    }
+    S.Head = Pos;
+    return Done;
+  }
 
   unsigned NumCounters;
   ReplayOptions Options;
-  std::vector<std::deque<EventRecord>> Streams;
+  /// Indexed by thread id; a deque, so a new thread never moves the
+  /// pending chunks of the others.
+  std::deque<Stream> Streams;
   std::vector<uint64_t> NextTs;
   size_t Pending = 0;
   uint64_t Gaps = 0;
 };
+
+/// Statically typed batch replay: the whole trace scheduled in place and
+/// drained once (allowing gaps under ReplayOptions::AllowTimestampGaps),
+/// so batch and incremental delivery orders are one and the same.
+/// Returns false if the log is inconsistent (a timestamp is missing or
+/// duplicated, so no valid order exists); every event not blocked behind
+/// the inconsistency has been delivered by then.
+template <typename ConsumerT>
+bool replayTraceWith(const Trace &T, ConsumerT &Consumer,
+                     const ReplayOptions &Options = ReplayOptions()) {
+  ReplayScheduler Scheduler(T, Options);
+  if (Options.AllowTimestampGaps)
+    Scheduler.drainAllowingGapsWith(Consumer);
+  else
+    Scheduler.drainWith(Consumer);
+  return Scheduler.fullyDrained();
+}
+
+/// replayTraceWith() instantiated at the TraceConsumer base (one virtual
+/// call per event), kept for heterogeneous consumers.
+bool replayTrace(const Trace &T, TraceConsumer &Consumer,
+                 const ReplayOptions &Options = ReplayOptions());
 
 } // namespace literace
 

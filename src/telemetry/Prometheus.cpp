@@ -95,6 +95,9 @@ constexpr HelpEntry HelpCatalog[] = {
     {"collector.races.distinct", "Distinct races after triage dedup."},
     {"collector.races.sightings",
      "Race sightings reported by detectors before dedup."},
+    {"collector.scheduler.pending_events",
+     "Most events one session's scheduler held waiting on a timestamp "
+     "(a lagging or blocked producer thread)."},
     {"collector.segments.dropped",
      "Damage episodes in client streams (corrupt regions and declared "
      "gaps; one resync each)."},

@@ -26,6 +26,7 @@
 #include "telemetry/Prometheus.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -895,6 +896,70 @@ TEST(CollectorServerTest, SuppressionSilencesExactlyItsRace) {
             Expected[0].DynamicCount);
   EXPECT_EQ(Suppressions.hits(0), Expected[0].DynamicCount);
   std::remove(LogPath.c_str());
+}
+
+TEST(CollectorServerTest, PendingEventsGaugeShowsAThreadWaitingOnATimestamp) {
+  const std::string SocketPath = tempPath("server-pending.sock");
+  // Thread 1's first event acquires what thread 0 releases, so it waits
+  // on thread 0's timestamp.
+  LogBuilder B(16);
+  B.onThread(0).write(0x10, makePc(1, 1)).release(7);
+  B.onThread(1).acquire(7).write(0x10, makePc(2, 1)).write(0x20, makePc(2, 2));
+  const Trace T = B.build();
+  const uint64_t Waiting = T.PerThread[1].size();
+
+  telemetry::MetricsRegistry Registry;
+  CollectorConfig Config;
+  Config.IngestSocketPath = SocketPath;
+  Config.Metrics = &Registry;
+  CollectorServer Server(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+
+  SocketByteOutput Socket(SocketPath);
+  ASSERT_TRUE(Socket.ok());
+  SegmentedFileSink::Options Opts;
+  Opts.Output = &Socket;
+  SegmentedFileSink Sink(tempPath("server-pending.unused"),
+                         T.NumTimestampCounters, Opts);
+  ASSERT_TRUE(Sink.ok());
+  auto Pending = [&] {
+    const std::vector<SessionStatus> S = Server.sessionStatuses();
+    return S.size() == 1 ? S[0].PendingEvents : ~uint64_t(0);
+  };
+
+  // Thread 1's chunk arrives first and waits in the scheduler.
+  Sink.writeChunk(1, T.PerThread[1].data(), T.PerThread[1].size());
+  for (unsigned I = 0; I != 5000 && Pending() != Waiting; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(Pending(), Waiting);
+  const std::string Gauge =
+      "literace_collector_scheduler_pending_events " + std::to_string(Waiting);
+  std::string Body, ContentType;
+  ASSERT_TRUE(Server.route("/metrics", Body, ContentType));
+  EXPECT_NE(Body.find(Gauge + "\n"), std::string::npos) << Body;
+  EXPECT_NE(Body.find("# HELP literace_collector_scheduler_pending_events "),
+            std::string::npos);
+  ASSERT_TRUE(Server.route("/status", Body, ContentType));
+  EXPECT_NE(Body.find("\"pending_events\": " + std::to_string(Waiting)),
+            std::string::npos)
+      << Body;
+
+  // Thread 0's chunk releases it; after a clean end nothing is pending.
+  Sink.writeChunk(0, T.PerThread[0].data(), T.PerThread[0].size());
+  EXPECT_TRUE(Sink.close());
+  Server.waitForSessions(1);
+  const std::vector<SessionStatus> Done = Server.sessionStatuses();
+  ASSERT_EQ(Done.size(), 1u);
+  EXPECT_TRUE(Done[0].Clean);
+  EXPECT_EQ(Done[0].PendingEvents, 0u);
+  EXPECT_EQ(Done[0].Events, T.totalEvents());
+  ASSERT_TRUE(Server.route("/status", Body, ContentType));
+  EXPECT_NE(Body.find("\"pending_events\": 0"), std::string::npos) << Body;
+  // The /metrics gauge keeps the high-water mark.
+  ASSERT_TRUE(Server.route("/metrics", Body, ContentType));
+  EXPECT_NE(Body.find(Gauge + "\n"), std::string::npos) << Body;
+  Server.stop();
 }
 
 TEST(CollectorServerTest, StopWithoutStartIsSafe) {
