@@ -7,9 +7,12 @@
 // three configurations — sync (every producer pays framing + write(2)
 // behind the sink mutex), async-block (lossless hand-off to the flusher
 // thread), async-drop (bounded hand-off, loss accounted). Reports wall
-// time, events/second, and the producer-side stall profile: the MAX time
-// a single writeChunk() call took on any application thread, which is
-// exactly the hot-path stall the pipeline exists to remove.
+// time, events/second, and the producer-side stall profile: the p50, p99
+// and max of single writeChunk() calls over all application threads,
+// which is exactly the hot-path stall the pipeline exists to remove. The
+// yardstick is one chunk's framing time: the median uncontended
+// synchronous writeChunk (framing, CRC32C and write(2)) of one chunk
+// from a single thread, measured first in the same run.
 //
 // With --json[=PATH] the results are also written as JSON (default
 // BENCH_flush_throughput.json) so successive PRs can track the numbers.
@@ -51,13 +54,37 @@ struct Result {
   Mode M = Mode::Sync;
   double Seconds = 0.0;
   double EventsPerSec = 0.0;
-  /// Worst single writeChunk() call observed on any producer thread.
+  /// Distribution of single writeChunk() calls over every producer
+  /// thread.
+  uint64_t StallP50Ns = 0;
+  uint64_t StallP99Ns = 0;
   uint64_t MaxProducerStallNs = 0;
+  size_t StallSamples = 0;
   uint64_t EventsDropped = 0;
   uint64_t ChunksEnqueued = 0;
   size_t QueueDepthHighWater = 0;
   uint64_t ProducerParks = 0;
 };
+
+/// The \p Q quantile (nearest rank) of \p Sorted, which is ascending and
+/// non-empty.
+uint64_t quantile(const std::vector<uint64_t> &Sorted, double Q) {
+  const double Exact = Q * static_cast<double>(Sorted.size());
+  size_t Rank = static_cast<size_t>(Exact);
+  if (static_cast<double>(Rank) < Exact)
+    ++Rank;
+  return Sorted[std::clamp<size_t>(Rank, 1, Sorted.size()) - 1];
+}
+
+/// Fills \p Chunk with the records producer \p T writes as chunk \p C.
+void fillChunk(std::vector<EventRecord> &Chunk, ThreadId T, size_t C) {
+  for (size_t I = 0; I != Chunk.size(); ++I) {
+    Chunk[I].Kind = EventKind::Write;
+    Chunk[I].Tid = T;
+    Chunk[I].Addr = C * Chunk.size() + I;
+    Chunk[I].Pc = 1;
+  }
+}
 
 std::string tempPath(const char *Name) {
   const char *Dir = std::getenv("TMPDIR");
@@ -85,25 +112,20 @@ Result runMode(Mode M, unsigned NumThreads, size_t ChunksPerThread,
       Sink = Async.get();
     }
 
-    std::vector<uint64_t> MaxStallNs(NumThreads, 0);
+    std::vector<std::vector<uint64_t>> StallNs(NumThreads);
     WallTimer Timer;
     std::vector<std::thread> Producers;
     for (unsigned T = 0; T != NumThreads; ++T)
       Producers.emplace_back([&, T] {
         std::vector<EventRecord> Chunk(EventsPerChunk);
-        uint64_t Worst = 0;
+        std::vector<uint64_t> &Calls = StallNs[T];
+        Calls.reserve(ChunksPerThread);
         for (size_t C = 0; C != ChunksPerThread; ++C) {
-          for (size_t I = 0; I != EventsPerChunk; ++I) {
-            Chunk[I].Kind = EventKind::Write;
-            Chunk[I].Tid = T;
-            Chunk[I].Addr = C * EventsPerChunk + I;
-            Chunk[I].Pc = 1;
-          }
+          fillChunk(Chunk, T, C);
           WallTimer Call;
           Sink->writeChunk(T, Chunk.data(), Chunk.size());
-          Worst = std::max(Worst, Call.nanoseconds());
+          Calls.push_back(Call.nanoseconds());
         }
-        MaxStallNs[T] = Worst;
       });
     for (std::thread &T : Producers)
       T.join();
@@ -118,8 +140,14 @@ Result runMode(Mode M, unsigned NumThreads, size_t ChunksPerThread,
     }
     Seg.close();
     R.Seconds = Timer.seconds();
-    for (uint64_t S : MaxStallNs)
-      R.MaxProducerStallNs = std::max(R.MaxProducerStallNs, S);
+    std::vector<uint64_t> All;
+    for (const std::vector<uint64_t> &Calls : StallNs)
+      All.insert(All.end(), Calls.begin(), Calls.end());
+    std::sort(All.begin(), All.end());
+    R.StallP50Ns = quantile(All, 0.50);
+    R.StallP99Ns = quantile(All, 0.99);
+    R.MaxProducerStallNs = All.back();
+    R.StallSamples = All.size();
   }
   const double TotalEvents = static_cast<double>(NumThreads) *
                              static_cast<double>(ChunksPerThread) *
@@ -127,6 +155,31 @@ Result runMode(Mode M, unsigned NumThreads, size_t ChunksPerThread,
   R.EventsPerSec = TotalEvents / R.Seconds;
   std::remove(Path.c_str());
   return R;
+}
+
+/// One chunk's framing time: the median of \p Chunks uncontended
+/// synchronous writeChunk calls from one thread into a fresh v2 log.
+uint64_t chunkFrameNs(size_t Chunks, size_t EventsPerChunk) {
+  const std::string Path = tempPath("literace_flush_frame.bin");
+  std::vector<uint64_t> Calls;
+  {
+    SegmentedFileSink Seg(Path, 128);
+    if (!Seg.ok()) {
+      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+      std::exit(1);
+    }
+    std::vector<EventRecord> Chunk(EventsPerChunk);
+    for (size_t C = 0; C != Chunks; ++C) {
+      fillChunk(Chunk, 0, C);
+      WallTimer Call;
+      Seg.writeChunk(0, Chunk.data(), Chunk.size());
+      Calls.push_back(Call.nanoseconds());
+    }
+    Seg.close();
+  }
+  std::remove(Path.c_str());
+  std::sort(Calls.begin(), Calls.end());
+  return quantile(Calls, 0.50);
 }
 
 } // namespace
@@ -159,23 +212,29 @@ int main(int Argc, char **Argv) {
                "%u producers x %zu chunks x %zu events, segmented v2 log\n",
                NumThreads, ChunksPerThread, EventsPerChunk);
 
+  const uint64_t FrameNs = chunkFrameNs(ChunksPerThread, EventsPerChunk);
+  std::fprintf(stderr, "one chunk's framing time (uncontended sync "
+                       "writeChunk, median): %.3f ms\n",
+               static_cast<double>(FrameNs) / 1e6);
+
   std::vector<Result> Results;
   for (Mode M : {Mode::Sync, Mode::AsyncBlock, Mode::AsyncDrop})
     Results.push_back(runMode(M, NumThreads, ChunksPerThread,
                               EventsPerChunk));
 
+  auto Ms = [](uint64_t Ns) {
+    return TableFormatter::num(static_cast<double>(Ns) / 1e6, 3) + "ms";
+  };
   TableFormatter Table("Trace-flush pipeline throughput (producer stall = "
-                       "max single writeChunk on an app thread)");
-  Table.addRow({"Mode", "Time", "M events/s", "Max stall", "Dropped",
-                "Queue HW", "Parks"});
+                       "single writeChunk calls on app threads)");
+  Table.addRow({"Mode", "Time", "M events/s", "Stall p50", "Stall p99",
+                "Stall max", "Calls", "Dropped", "Queue HW", "Parks"});
   for (const Result &R : Results)
     Table.addRow(
         {modeName(R.M), TableFormatter::num(R.Seconds, 3) + "s",
-         TableFormatter::num(R.EventsPerSec / 1e6, 1),
-         TableFormatter::num(
-             static_cast<double>(R.MaxProducerStallNs) / 1e6, 3) +
-             "ms",
-         std::to_string(R.EventsDropped),
+         TableFormatter::num(R.EventsPerSec / 1e6, 1), Ms(R.StallP50Ns),
+         Ms(R.StallP99Ns), Ms(R.MaxProducerStallNs),
+         std::to_string(R.StallSamples), std::to_string(R.EventsDropped),
          R.M == Mode::Sync ? "-" : std::to_string(R.QueueDepthHighWater),
          R.M == Mode::Sync ? "-" : std::to_string(R.ProducerParks)});
   Table.print();
@@ -189,18 +248,25 @@ int main(int Argc, char **Argv) {
     std::fprintf(File,
                  "{\n  \"benchmark\": \"flush_throughput\",\n"
                  "  \"threads\": %u,\n  \"chunks_per_thread\": %zu,\n"
-                 "  \"events_per_chunk\": %zu,\n  \"modes\": [\n",
-                 NumThreads, ChunksPerThread, EventsPerChunk);
+                 "  \"events_per_chunk\": %zu,\n"
+                 "  \"chunk_frame_ns_p50\": %llu,\n  \"modes\": [\n",
+                 NumThreads, ChunksPerThread, EventsPerChunk,
+                 static_cast<unsigned long long>(FrameNs));
     for (size_t I = 0; I != Results.size(); ++I) {
       const Result &R = Results[I];
       std::fprintf(
           File,
           "    {\"mode\": \"%s\", \"seconds\": %.6f, "
-          "\"events_per_sec\": %.1f, \"max_producer_stall_ns\": %llu, "
+          "\"events_per_sec\": %.1f, \"producer_stall_p50_ns\": %llu, "
+          "\"producer_stall_p99_ns\": %llu, "
+          "\"max_producer_stall_ns\": %llu, \"stall_samples\": %zu, "
           "\"events_dropped\": %llu, \"chunks_enqueued\": %llu, "
           "\"queue_depth_highwater\": %zu, \"producer_parks\": %llu}%s\n",
           modeName(R.M), R.Seconds, R.EventsPerSec,
+          static_cast<unsigned long long>(R.StallP50Ns),
+          static_cast<unsigned long long>(R.StallP99Ns),
           static_cast<unsigned long long>(R.MaxProducerStallNs),
+          R.StallSamples,
           static_cast<unsigned long long>(R.EventsDropped),
           static_cast<unsigned long long>(R.ChunksEnqueued),
           R.QueueDepthHighWater,

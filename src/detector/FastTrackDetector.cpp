@@ -42,18 +42,6 @@ void FastTrackDetector::onCoverageGap() {
   }
 }
 
-void FastTrackDetector::acquire(ThreadId T, SyncVar S) {
-  auto It = SyncClocks.find(S);
-  if (It != SyncClocks.end())
-    clockOf(T).joinWith(It->second);
-}
-
-void FastTrackDetector::release(ThreadId T, SyncVar S) {
-  VectorClock &Thread = clockOf(T);
-  SyncClocks[S].joinWith(Thread);
-  Thread.tick(T);
-}
-
 void FastTrackDetector::onEvent(const EventRecord &R) {
   switch (R.Kind) {
   case EventKind::ThreadStart:
@@ -76,16 +64,15 @@ void FastTrackDetector::onEvent(const EventRecord &R) {
     return;
   }
   case EventKind::Acquire:
-    acquire(R.Tid, R.Addr);
+    SyncClocks.acquire(clockOf(R.Tid), R.Addr);
     return;
   case EventKind::Release:
-    release(R.Tid, R.Addr);
+    SyncClocks.release(clockOf(R.Tid), R.Tid, R.Addr);
     return;
   case EventKind::AcqRel:
   case EventKind::Alloc:
   case EventKind::Free:
-    acquire(R.Tid, R.Addr);
-    release(R.Tid, R.Addr);
+    SyncClocks.acquireRelease(clockOf(R.Tid), R.Tid, R.Addr);
     return;
   }
   literaceUnreachable("invalid event kind");

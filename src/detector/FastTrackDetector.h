@@ -29,12 +29,11 @@
 
 #include "detector/RaceReport.h"
 #include "detector/Replay.h"
+#include "detector/SyncClockTable.h"
 #include "detector/VectorClock.h"
-#include "support/Hashing.h"
 #include "support/ShadowMap.h"
 #include "support/SmallVector.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace literace {
@@ -68,6 +67,9 @@ public:
 
   uint64_t memoryEventsProcessed() const { return MemoryEvents; }
 
+  /// Current clock of thread \p T (exposed for tests).
+  const VectorClock &threadClock(ThreadId T) { return clockOf(T); }
+
   /// Batch entry point used by replayTraceWith (see
   /// HBDetector::onMemoryRun): consumes the maximal leading run of
   /// memory events with the clock and epoch hoisted out of the loop,
@@ -95,8 +97,6 @@ private:
   };
 
   VectorClock &clockOf(ThreadId T);
-  void acquire(ThreadId T, SyncVar S);
-  void release(ThreadId T, SyncVar S);
   void onRead(const EventRecord &R, const VectorClock &Clock,
               uint64_t OwnEpoch);
   void onWrite(const EventRecord &R, const VectorClock &Clock,
@@ -105,7 +105,8 @@ private:
 
   RaceReport &Report;
   std::vector<VectorClock> ThreadClocks;
-  std::unordered_map<SyncVar, VectorClock, Mix64Hash> SyncClocks;
+  /// See HBDetector: the same table and sync steps.
+  SyncClockTable SyncClocks;
   ShadowMap<AddressState> Shadow;
   /// See HBDetector::GapBarrier.
   VectorClock GapBarrier;

@@ -52,20 +52,6 @@ void HBDetector::onCoverageGap() {
 
 const VectorClock &HBDetector::threadClock(ThreadId T) { return clockOf(T); }
 
-void HBDetector::acquire(ThreadId T, SyncVar S) {
-  auto It = SyncClocks.find(S);
-  if (It != SyncClocks.end())
-    clockOf(T).joinWith(It->second);
-}
-
-void HBDetector::release(ThreadId T, SyncVar S) {
-  VectorClock &Thread = clockOf(T);
-  SyncClocks[S].joinWith(Thread);
-  // Tick so that accesses after the release are not confused with the
-  // knowledge just published.
-  Thread.tick(T);
-}
-
 void HBDetector::onEvent(const EventRecord &R) {
   onEventAt(R, NextEventIndex++);
 }
@@ -87,19 +73,18 @@ void HBDetector::onEventAt(const EventRecord &R, uint64_t EventIndex) {
     return;
   case EventKind::Acquire:
     ++SyncEvents;
-    acquire(R.Tid, R.Addr);
+    SyncClocks.acquire(clockOf(R.Tid), R.Addr);
     return;
   case EventKind::Release:
     ++SyncEvents;
-    release(R.Tid, R.Addr);
+    SyncClocks.release(clockOf(R.Tid), R.Tid, R.Addr);
     return;
   case EventKind::AcqRel:
   case EventKind::Alloc:
   case EventKind::Free:
     // Allocation events are §4.3 page synchronization: acquire+release.
     ++SyncEvents;
-    acquire(R.Tid, R.Addr);
-    release(R.Tid, R.Addr);
+    SyncClocks.acquireRelease(clockOf(R.Tid), R.Tid, R.Addr);
     return;
   }
   literaceUnreachable("invalid event kind");

@@ -10,7 +10,10 @@
 /// The detector consumes a replayed event stream. It maintains a vector
 /// clock per thread and per SyncVar; synchronization events create the HB2
 /// edges, program order within a thread's stream is HB1, and transitivity
-/// falls out of the vector-clock algebra. For every memory address it
+/// falls out of the vector-clock algebra. SyncVar clocks live in a
+/// SyncClockTable (shared with FastTrackDetector): a sampled log is
+/// nearly all sync, so its replay is bound by that table, and an AcqRel,
+/// Alloc or Free costs one probe of it. For every memory address it
 /// keeps, per thread, the epoch (thread, clock) and site of the most
 /// recent logged read and write — the DJIT+ scheme: a new access races
 /// with some prior access of thread u iff it races with u's most recent
@@ -28,12 +31,11 @@
 
 #include "detector/RaceReport.h"
 #include "detector/Replay.h"
+#include "detector/SyncClockTable.h"
 #include "detector/VectorClock.h"
-#include "support/Hashing.h"
 #include "support/ShadowMap.h"
 #include "support/SmallVector.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace literace {
@@ -87,6 +89,10 @@ public:
   /// Number of addresses with shadow state (exposed for tests/benches).
   size_t shadowAddressCount() const { return Shadow.size(); }
 
+  /// Number of SyncVars with a clock, i.e. ever released (exposed for
+  /// tests/benches).
+  size_t syncVarCount() const { return SyncClocks.size(); }
+
 private:
   /// Most recent logged access of one thread to one address.
   struct AccessRecord {
@@ -110,8 +116,6 @@ private:
   };
 
   VectorClock &clockOf(ThreadId T);
-  void acquire(ThreadId T, SyncVar S);
-  void release(ThreadId T, SyncVar S);
   void onMemory(const EventRecord &R);
 
   /// The fused per-access step: checks \p R against both lists and
@@ -127,7 +131,7 @@ private:
 
   RaceReport &Report;
   std::vector<VectorClock> ThreadClocks;
-  std::unordered_map<SyncVar, VectorClock, Mix64Hash> SyncClocks;
+  SyncClockTable SyncClocks;
   ShadowMap<AddressState> Shadow;
   /// Join of every thread clock at the last coverage gap; threads first
   /// seen later start behind it so cross-gap pairs stay ordered.
