@@ -43,10 +43,9 @@ runDetectionSuite(const std::vector<WorkloadKind> &Kinds,
                   unsigned DefaultRepeats = 1) {
   WorkloadParams Params = paramsFromEnv();
   unsigned Repeats = repeatsFromEnv(DefaultRepeats);
-  DetectorOptions Detector = detectorOptionsFromEnv();
   std::vector<DetectionResult> Results;
   for (WorkloadKind Kind : Kinds) {
-    Results.push_back(runDetectionExperiment(Kind, Params, Repeats, Detector));
+    Results.push_back(runDetectionExperiment(Kind, Params, Repeats));
     std::fprintf(stderr, "  [detection] %s done (%zu static races)\n",
                  Results.back().Benchmark.c_str(),
                  Results.back().StaticTotal);

@@ -999,22 +999,17 @@ void CollectorServer::laneLoop(Lane &L) {
       }
     }
     Detection &D = It->second;
-    if (!D.Session) {
-      DetectorOptions Opts;
-      Opts.Shards = Config.Shards;
-      D.Session = std::make_unique<DetectionSession>(
-          Item.NumCounters, D.Report, ReplayOptions(), Opts);
-    }
+    if (!D.Session)
+      D.Session =
+          std::make_unique<DetectionSession>(Item.NumCounters, D.Report);
     if (Item.K == IngestItem::Kind::Chunk) {
       if (D.AddedPerTid.size() <= Item.Tid)
         D.AddedPerTid.resize(static_cast<size_t>(Item.Tid) + 1, 0);
       D.AddedPerTid[Item.Tid] += Item.Records.size();
       D.Session->addChunk(Item.Tid, std::move(Item.Records));
       noteDelivered(D, D.Session->drain());
-      // The serial detector's report is live; surface new sightings as
-      // they happen. (The sharded pipeline merges at session end.)
+      // The report is live; surface new sightings as they happen.
       const bool Fresh =
-          D.Session->liveReport() &&
           D.Report.numDynamicSightings() != D.SightingsPublished;
       if (Fresh || CheckpointRequested.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> Guard(PublishLock);

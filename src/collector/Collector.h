@@ -17,7 +17,7 @@
 ///   detection lanes (fixed pool; a session stays on one lane)
 ///        lane k: queue ─► per-session DetectionSession: chunks moved
 ///                         into its ReplayScheduler, drained run-batched
-///                         into HBDetector (or sharded), no shared lock
+///                         into HBDetector, no shared lock
 ///                             │ race-count deltas
 ///        publish lock ──► ReportTriage (dedup / suppress / limit)
 ///                         + triage checkpoint over every lane
@@ -85,10 +85,6 @@ struct CollectorConfig {
   /// Path of the AF_UNIX ingest socket to listen on (required; an
   /// existing socket file is replaced).
   std::string IngestSocketPath;
-  /// Detection shards per session; 1 = serial HBDetector, which also
-  /// surfaces race updates live mid-session (the sharded pipeline merges
-  /// per-shard reports only at session end).
-  unsigned Shards = 1;
   /// Ingest queue capacity (chunks) of each detection lane; producers
   /// feel backpressure beyond.
   size_t QueueCapacity = 1024;

@@ -6,7 +6,6 @@
 
 #include "detector/HBDetector.h"
 
-#include "detector/ShardedDetector.h"
 #include "support/Compiler.h"
 
 #include <algorithm>
@@ -53,11 +52,7 @@ void HBDetector::onCoverageGap() {
 const VectorClock &HBDetector::threadClock(ThreadId T) { return clockOf(T); }
 
 void HBDetector::onEvent(const EventRecord &R) {
-  onEventAt(R, NextEventIndex++);
-}
-
-void HBDetector::onEventAt(const EventRecord &R, uint64_t EventIndex) {
-  CurrentEventIndex = EventIndex;
+  ++NextEventIndex;
   switch (R.Kind) {
   case EventKind::ThreadStart:
   case EventKind::ThreadEnd:
@@ -101,7 +96,7 @@ LR_NOINLINE void HBDetector::reportRace(const AccessRecord &Old,
   Sighting.SecondTid = New.Tid;
   Sighting.FirstIsWrite = OldIsWrite;
   Sighting.SecondIsWrite = New.Kind == EventKind::Write;
-  Sighting.EventIndex = CurrentEventIndex;
+  Sighting.EventIndex = NextEventIndex - 1;
   Report.record(Sighting);
 }
 
@@ -172,7 +167,7 @@ size_t HBDetector::onMemoryRun(const EventRecord *Records, size_t MaxCount) {
   const uint64_t Epoch = Clock.get(Records[0].Tid);
   size_t I = 0;
   do {
-    CurrentEventIndex = NextEventIndex++;
+    ++NextEventIndex;
     onMemoryWith(Records[I], Clock, Epoch);
     ++I;
   } while (I != MaxCount && isMemoryKind(Records[I].Kind));
@@ -180,14 +175,7 @@ size_t HBDetector::onMemoryRun(const EventRecord *Records, size_t MaxCount) {
 }
 
 bool literace::detectRaces(const Trace &T, RaceReport &Report,
-                           const ReplayOptions &Options,
-                           const DetectorOptions &DetOpts) {
-  if (DetOpts.Shards <= 1) {
-    HBDetector Detector(Report);
-    return replayTraceWith(T, Detector, Options);
-  }
-  ShardedHBDetector Sharded(DetOpts);
-  bool Ok = replayTraceWith(T, Sharded, Options);
-  Sharded.finish(Report);
-  return Ok;
+                           const ReplayOptions &Options) {
+  HBDetector Detector(Report);
+  return replayTraceWith(T, Detector, Options);
 }

@@ -41,8 +41,8 @@
 namespace literace {
 
 /// Vector-clock happens-before detector over replayed event streams.
-/// `final` so the statically typed replay loop (replayTraceWith) and the
-/// sharded workers devirtualize onEvent into a direct, inlinable call.
+/// `final` so the statically typed replay drains (replayTraceWith,
+/// DetectionSession) devirtualize onEvent into a direct, inlinable call.
 class HBDetector final : public TraceConsumer {
 public:
   /// Detected races are recorded into \p Report (owned by the caller).
@@ -60,13 +60,6 @@ public:
 
   /// Number of coverage gaps barriered so far.
   uint64_t coverageGaps() const { return CoverageGaps; }
-
-  /// Delivers \p R as the event with global replay sequence number
-  /// \p EventIndex. onEvent() numbers events itself (0, 1, 2, ... in
-  /// delivery order); the sharded pipeline numbers events at fan-out time
-  /// and calls this from per-shard workers, so sightings carry the same
-  /// indices a serial replay would assign.
-  void onEventAt(const EventRecord &R, uint64_t EventIndex);
 
   /// Batch entry point used by replayTraceWith: \p Records[0] is a
   /// memory event, and the detector consumes the maximal leading run of
@@ -139,20 +132,17 @@ private:
   uint64_t CoverageGaps = 0;
   uint64_t MemoryEvents = 0;
   uint64_t SyncEvents = 0;
-  /// Sequence number assigned to the next self-numbered event, and the
-  /// index of the event currently being processed (stamped on sightings).
+  /// Events delivered so far. Events are numbered 0, 1, 2, ... in
+  /// delivery order, so the one being processed is NextEventIndex - 1
+  /// (stamped on sightings).
   uint64_t NextEventIndex = 0;
-  uint64_t CurrentEventIndex = 0;
 };
 
 /// Convenience wrapper: replays \p T (optionally filtered to one sampler's
-/// view) through a fresh HBDetector into \p Report. With
-/// DetectorOptions::Shards > 1 the replay is fanned out to parallel
-/// per-shard workers (see ShardedDetector.h); the report is byte-identical
-/// either way. Returns false if the log was inconsistent.
+/// view) through a fresh HBDetector into \p Report. Returns false if the
+/// log was inconsistent.
 bool detectRaces(const Trace &T, RaceReport &Report,
-                 const ReplayOptions &Options = ReplayOptions(),
-                 const DetectorOptions &Detector = DetectorOptions());
+                 const ReplayOptions &Options = ReplayOptions());
 
 } // namespace literace
 

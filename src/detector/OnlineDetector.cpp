@@ -13,19 +13,10 @@
 using namespace literace;
 
 DetectionSession::DetectionSession(unsigned NumTimestampCounters,
-                                   RaceReport &Report, ReplayOptions Options,
-                                   DetectorOptions Detector)
-    : Report(Report), Scheduler(NumTimestampCounters, Options) {
-  if (Detector.Shards > 1)
-    Sharded = std::make_unique<ShardedHBDetector>(Detector);
-  else
-    Serial = std::make_unique<HBDetector>(Report);
-}
+                                   RaceReport &Report, ReplayOptions Options)
+    : Scheduler(NumTimestampCounters, Options), Detector(Report) {}
 
-size_t DetectionSession::drain() {
-  return Sharded ? Scheduler.drainWith(*Sharded)
-                 : Scheduler.drainWith(*Serial);
-}
+size_t DetectionSession::drain() { return Scheduler.drainWith(Detector); }
 
 size_t DetectionSession::finish(bool AllowGaps) {
   size_t Delivered = drain();
@@ -33,18 +24,13 @@ size_t DetectionSession::finish(bool AllowGaps) {
   // producer, dropped segments) are drained past coverage gaps now that
   // end-of-stream is certain.
   if (AllowGaps && !Scheduler.fullyDrained())
-    Delivered += Sharded ? Scheduler.drainAllowingGapsWith(*Sharded)
-                         : Scheduler.drainAllowingGapsWith(*Serial);
-  // The sharded fan-out has its own workers to stop and a merge to run.
-  if (Sharded)
-    Sharded->finish(Report);
+    Delivered += Scheduler.drainAllowingGapsWith(Detector);
   return Delivered;
 }
 
 OnlineDetector::OnlineDetector(unsigned NumTimestampCounters,
-                               RaceReport &Report, ReplayOptions Options,
-                               DetectorOptions Detector)
-    : Session(NumTimestampCounters, Report, Options, Detector),
+                               RaceReport &Report, ReplayOptions Options)
+    : Session(NumTimestampCounters, Report, Options),
       Options(Options) {
   Worker = std::thread([this] { workerLoop(); });
 }

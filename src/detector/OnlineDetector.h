@@ -20,12 +20,10 @@
 
 #include "detector/HBDetector.h"
 #include "detector/Replay.h"
-#include "detector/ShardedDetector.h"
 #include "runtime/EventLog.h"
 
 #include <atomic>
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,17 +31,14 @@
 namespace literace {
 
 /// Detection of one event stream that arrives chunk by chunk: the
-/// incremental ReplayScheduler, the serial HBDetector or sharded fan-out
-/// it drains into (statically typed, memory runs batched), the report
-/// they fill, and the end-of-stream gap drain. Not thread-safe; callers
-/// serialize.
+/// incremental ReplayScheduler, the HBDetector it drains into
+/// (statically typed, memory runs batched), and the end-of-stream gap
+/// drain. Not thread-safe; callers serialize.
 class DetectionSession {
 public:
-  /// Races accumulate into \p Report; with Detector.Shards > 1 they are
-  /// merged into it only by finish() (see ShardedDetector.h).
+  /// Races accumulate into \p Report as events drain.
   DetectionSession(unsigned NumTimestampCounters, RaceReport &Report,
-                   ReplayOptions Options = ReplayOptions(),
-                   DetectorOptions Detector = DetectorOptions());
+                   ReplayOptions Options = ReplayOptions());
 
   /// Adopts \p Chunk (thread \p Tid's next records) without copying.
   void addChunk(ThreadId Tid, std::vector<EventRecord> &&Chunk) {
@@ -54,22 +49,16 @@ public:
   size_t drain();
 
   /// End of stream: drains what is left — past timestamp gaps when
-  /// \p AllowGaps — and merges a sharded session's report. Returns the
-  /// number of events delivered. Call once, after the last add.
+  /// \p AllowGaps. Returns the number of events delivered. Call once,
+  /// after the last add.
   size_t finish(bool AllowGaps);
-
-  /// True if the report grows while events drain; a sharded session
-  /// fills it only in finish().
-  bool liveReport() const { return !Sharded; }
 
   /// Pending and delivered counts, timestamp gaps.
   const ReplayScheduler &scheduler() const { return Scheduler; }
 
 private:
-  RaceReport &Report;
   ReplayScheduler Scheduler;
-  std::unique_ptr<HBDetector> Serial;
-  std::unique_ptr<ShardedHBDetector> Sharded;
+  HBDetector Detector;
 };
 
 /// A LogSink that performs happens-before detection concurrently with the
@@ -78,11 +67,9 @@ class OnlineDetector : public LogSink {
 public:
   /// \p NumTimestampCounters must match the producing Runtime's
   /// configuration. Races accumulate into \p Report; do not read it until
-  /// finish() has returned. With Detector.Shards > 1 the drain fans out
-  /// to parallel per-shard analysis workers (see ShardedDetector.h).
+  /// finish() has returned.
   OnlineDetector(unsigned NumTimestampCounters, RaceReport &Report,
-                 ReplayOptions Options = ReplayOptions(),
-                 DetectorOptions Detector = DetectorOptions());
+                 ReplayOptions Options = ReplayOptions());
   ~OnlineDetector() override;
 
   void writeChunk(ThreadId Tid, const EventRecord *Records,

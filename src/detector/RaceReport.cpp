@@ -39,23 +39,6 @@ void RaceReport::record(const RaceSighting &Sighting) {
   ++TotalSightings;
 }
 
-void RaceReport::merge(const RaceReport &Other) {
-  for (const auto &Entry : Other.Races) {
-    const StaticRace &In = Entry.second;
-    StaticRace &Race = Races[Entry.first];
-    if (Race.DynamicCount == 0 || In.FirstEventIndex < Race.FirstEventIndex) {
-      Race.Key = In.Key;
-      Race.ExampleAddr = In.ExampleAddr;
-      Race.FirstEventIndex = In.FirstEventIndex;
-    }
-    Race.DynamicCount += In.DynamicCount;
-    Race.SawWriteWrite |= In.SawWriteWrite;
-  }
-  SightingAddresses.insert(Other.SightingAddresses.begin(),
-                           Other.SightingAddresses.end());
-  TotalSightings += Other.TotalSightings;
-}
-
 std::vector<StaticRace> RaceReport::staticRaces() const {
   std::vector<StaticRace> Out;
   Out.reserve(Races.size());

@@ -50,11 +50,6 @@ void printFigure6(const std::vector<OverheadRow> &Rows);
 WorkloadParams paramsFromEnv();
 unsigned repeatsFromEnv(unsigned Default = 1);
 
-/// Reads LITERACE_SHARDS (and LITERACE_SHARD_QUEUE) from the environment:
-/// the offline-analysis parallelism knob for the harness experiments.
-/// Results are identical at any shard count; only wall time changes.
-DetectorOptions detectorOptionsFromEnv();
-
 } // namespace literace
 
 #endif // LITERACE_HARNESS_TABLES_H

@@ -663,8 +663,8 @@ bool SegmentedFileSink::writeFrame(ThreadId Tid, const EventRecord *Records,
 }
 
 void SegmentedFileSink::noteLostChunk(ThreadId, size_t Count) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  Dropped += Count;
+  // No Lock: the flusher holds it across framing and write(2).
+  Dropped.fetch_add(Count, std::memory_order_relaxed);
 }
 
 void SegmentedFileSink::writeChunk(ThreadId Tid, const EventRecord *Records,
@@ -675,7 +675,7 @@ void SegmentedFileSink::writeChunk(ThreadId Tid, const EventRecord *Records,
   else
     ++AppWrites;
   if (Failed || Closed || !HeaderOk) {
-    Dropped += Count;
+    Dropped.fetch_add(Count, std::memory_order_relaxed);
     return;
   }
   size_t Off = 0;
@@ -683,7 +683,7 @@ void SegmentedFileSink::writeChunk(ThreadId Tid, const EventRecord *Records,
     size_t N = std::min(Count - Off, MaxRecordsPerSegment);
     if (!writeFrame(Tid, Records + Off, N)) {
       Failed = true;
-      Dropped += Count - Off;
+      Dropped.fetch_add(Count - Off, std::memory_order_relaxed);
       return;
     }
     Off += N;
@@ -698,12 +698,15 @@ void SegmentedFileSink::flush() {
 
 bool SegmentedFileSink::close() {
   std::lock_guard<std::mutex> Guard(Lock);
+  // Losses noted after this load are not in the footer; callers close
+  // the sink once its producers are done.
+  const uint64_t DroppedEvents = Dropped.load(std::memory_order_relaxed);
   if (Closed)
-    return HeaderOk && !Failed && Dropped == 0;
+    return HeaderOk && !Failed && DroppedEvents == 0;
   Closed = true;
   bool Sealed = false;
   if (HeaderOk && !Failed) {
-    SegmentFooterPayload Totals{Events, Segments, Dropped};
+    SegmentFooterPayload Totals{Events, Segments, DroppedEvents};
     Frame.clear();
     Frame.resize(sizeof(SegmentHeader) + sizeof(Totals));
     std::memcpy(Frame.data() + sizeof(SegmentHeader), &Totals,
@@ -730,10 +733,10 @@ bool SegmentedFileSink::close() {
     Slab.add(M->counter("sink.segments_written"), Segments);
     Slab.add(M->counter("sink.writes.app_thread"), AppWrites);
     Slab.add(M->counter("sink.writes.flusher_thread"), FlusherWrites);
-    if (Dropped)
-      Slab.add(M->counter("sink.events_dropped"), Dropped);
+    if (DroppedEvents)
+      Slab.add(M->counter("sink.events_dropped"), DroppedEvents);
   }
-  return Sealed && Dropped == 0;
+  return Sealed && DroppedEvents == 0;
 }
 
 void SegmentedFileSink::abandon() {

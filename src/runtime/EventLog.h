@@ -189,7 +189,9 @@ public:
                   size_t Count) override;
   void flush() override;
   /// Upstream loss (async Drop policy): folded into eventsDropped(), the
-  /// footer's dropped-event count, and close()'s verdict.
+  /// footer's dropped-event count, and close()'s verdict. Lock-free, so
+  /// an application thread whose chunk was dropped never waits for a
+  /// write in progress.
   void noteLostChunk(ThreadId Tid, size_t Count) override;
 
   /// Seals the footer frame and closes the output. Returns false if any
@@ -206,7 +208,9 @@ public:
   uint64_t retries() const { return Retries; }
   /// Events dropped because the output hard-failed, plus upstream losses
   /// reported via noteLostChunk().
-  uint64_t eventsDropped() const { return Dropped; }
+  uint64_t eventsDropped() const {
+    return Dropped.load(std::memory_order_relaxed);
+  }
   /// writeChunk() calls made by application threads vs dedicated flusher
   /// threads (isTraceFlusherThread()). In async mode the app count must
   /// be zero — bench/micro_dispatch --check-async-flush enforces it.
@@ -228,7 +232,8 @@ private:
   uint64_t Segments = 0;
   uint64_t Events = 0;
   uint64_t Retries = 0;
-  uint64_t Dropped = 0;
+  /// Bumped without Lock by noteLostChunk().
+  std::atomic<uint64_t> Dropped{0};
   uint64_t AppWrites = 0;
   uint64_t FlusherWrites = 0;
   std::vector<uint8_t> Frame;

@@ -19,11 +19,11 @@
 /// the producer fast path, which is the point: the producers here are
 /// application threads inside the §4.1 dispatch-and-log path.
 ///
-/// Waiting reuses the SpscRing parking idiom: spin briefly, then park on
-/// a condition variable with a short timeout so a missed nudge is bounded
-/// latency, not a hang. close() wakes everyone; push() fails after close
-/// (the caller accounts the chunk as dropped) and pop() drains what
-/// remains before reporting end-of-stream.
+/// Waiting spins briefly, then parks on a condition variable with a
+/// short timeout so a missed nudge is bounded latency, not a hang.
+/// close() wakes everyone; push() fails after close (the caller accounts
+/// the chunk as dropped) and pop() drains what remains before reporting
+/// end-of-stream.
 ///
 //===----------------------------------------------------------------------===//
 

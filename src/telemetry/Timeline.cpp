@@ -342,7 +342,6 @@ size_t TraceRecorder::size() const {
 TraceWriter TraceRecorder::drainWriter() const {
   TraceWriter W;
   W.nameProcess(TimelinePidRuntime, "literace runtime");
-  W.nameProcess(TimelinePidDetector, "literace detector pipeline");
   std::lock_guard<std::mutex> Guard(Lock);
   for (const TraceEvent &E : Spans)
     W.add(E);

@@ -16,8 +16,8 @@
 ///     of cumulative memory/sync ops.
 ///
 ///   - TraceRecorder: live wall-clock spans recorded by running
-///     components (per-thread log flushes, shard worker lifetimes, merge
-///     phases). Gated on the LITERACE_TELEMETRY kill switch; bounded.
+///     components (per-thread log flushes). Gated on the
+///     LITERACE_TELEMETRY kill switch; bounded.
 ///
 /// A structural validator for the emitted JSON backs the tests, so any
 /// file we write is mechanically checked to load in ui.perfetto.dev.
@@ -41,8 +41,7 @@ class FunctionRegistry;
 namespace telemetry {
 
 /// Process lane ids used on the shared timeline.
-constexpr uint32_t TimelinePidRuntime = 1;  ///< instrumented app threads
-constexpr uint32_t TimelinePidDetector = 2; ///< analysis pipeline
+constexpr uint32_t TimelinePidRuntime = 1; ///< instrumented app threads
 
 /// One Chrome trace-event entry. Only the phases we emit are modeled:
 /// 'X' (complete slice), 'C' (counter sample), 'i' (instant), 'M'
@@ -107,9 +106,9 @@ TraceWriter buildTraceTimeline(const Trace &T,
                                size_t MaxSlicesPerThread = 4096);
 
 /// Thread-safe live span recorder for low-frequency pipeline events
-/// (flushes, shard worker lifetimes, merges). Spans are dropped past a
-/// fixed cap so a runaway producer cannot exhaust memory; the drop count
-/// is reported by drainWriter().
+/// (per-thread log flushes). Spans are dropped past a fixed cap so a
+/// runaway producer cannot exhaust memory; the drop count is reported by
+/// drainWriter().
 class TraceRecorder {
 public:
   /// The process-global recorder. Recording is a no-op when the

@@ -8,7 +8,8 @@
 //  - FlushPolicy::Block is lossless (the trace equals a synchronous run's);
 //  - FlushPolicy::Drop discards whole chunks and accounts every one of
 //    them all the way into the v2 footer, so readTrace() reports the file
-//    as Salvaged with exact writer-side loss;
+//    as Salvaged with exact writer-side loss, and reporting a drop never
+//    waits for the durable sink's write in progress;
 //  - flush()/fence() bound crash loss: everything enqueued before the
 //    fence is durable even if the process dies right after;
 //  - application threads make zero writeChunk() calls into the durable
@@ -19,11 +20,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/AsyncSink.h"
+#include "support/ByteOutput.h"
 #include "support/Crc32.h"
 #include "telemetry/Metrics.h"
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -304,6 +307,92 @@ TEST(AsyncSinkTest, NoteLostChunkAloneMakesTheTraceSalvaged) {
     Seg.noteLostChunk(0, 5);
     EXPECT_FALSE(Seg.close());
   }
+  TraceReadResult R = readTrace(Path);
+  ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << R.Error;
+  EXPECT_EQ(R.Stats.EventsDroppedByWriter, 5u);
+  EXPECT_EQ(R.Stats.EventsRecovered, 8u);
+  std::remove(Path.c_str());
+}
+
+/// File output whose write() can be held on a latch, so a test can park
+/// the sink inside writeChunk() with its lock held.
+class LatchedOutput : public ByteOutput {
+public:
+  explicit LatchedOutput(const std::string &Path) : File(Path) {}
+
+  WriteResult write(const void *Data, size_t Size) override {
+    std::unique_lock<std::mutex> Guard(Lock);
+    if (Armed) {
+      Entered = true;
+      Changed.notify_all();
+      Changed.wait(Guard, [this] { return !Armed; });
+    }
+    return File.write(Data, Size);
+  }
+  void close() override { File.close(); }
+  bool ok() const override { return File.ok(); }
+
+  void arm() {
+    std::lock_guard<std::mutex> Guard(Lock);
+    Armed = true;
+  }
+  void waitEntered() {
+    std::unique_lock<std::mutex> Guard(Lock);
+    Changed.wait(Guard, [this] { return Entered; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> Guard(Lock);
+    Armed = false;
+    Changed.notify_all();
+  }
+
+private:
+  FileByteOutput File;
+  std::mutex Lock;
+  std::condition_variable Changed;
+  bool Armed = false;
+  bool Entered = false;
+};
+
+TEST(AsyncSinkTest, NoteLostChunkDoesNotWaitForAWriteInProgress) {
+  // Under FlushPolicy::Drop an application thread reports its dropped
+  // chunk with noteLostChunk(); it must not queue behind the flusher's
+  // write, which holds the sink for the whole frame.
+  const std::string Path = tempPath("async_notelost_latched.bin");
+  LatchedOutput Output(Path);
+  {
+    SegmentedFileSink::Options Opts;
+    Opts.Output = &Output;
+    SegmentedFileSink Seg(Path, 16, Opts);
+    ASSERT_TRUE(Seg.ok());
+    Output.arm();
+    std::vector<EventRecord> Chunk = makeChunk(0, 0, 8);
+    std::thread Flusher(
+        [&] { Seg.writeChunk(0, Chunk.data(), Chunk.size()); });
+    Output.waitEntered(); // The writer is parked inside write().
+
+    std::mutex DoneLock;
+    std::condition_variable DoneCv;
+    bool Done = false;
+    std::thread App([&] {
+      Seg.noteLostChunk(0, 5);
+      std::lock_guard<std::mutex> Guard(DoneLock);
+      Done = true;
+      DoneCv.notify_all();
+    });
+    {
+      std::unique_lock<std::mutex> Guard(DoneLock);
+      EXPECT_TRUE(DoneCv.wait_for(Guard, std::chrono::seconds(5),
+                                  [&] { return Done; }))
+          << "noteLostChunk waited for the write in progress";
+    }
+    Output.release();
+    App.join();
+    Flusher.join();
+    EXPECT_EQ(Seg.eventsDropped(), 5u);
+    EXPECT_FALSE(Seg.close());
+  }
+  // The footer still seals the dropped count.
   TraceReadResult R = readTrace(Path);
   ASSERT_EQ(R.Status, TraceReadStatus::Salvaged) << R.Error;
   EXPECT_EQ(R.Stats.EventsDroppedByWriter, 5u);

@@ -748,36 +748,6 @@ TEST(CollectorServerTest, SessionsBeyondTheLaneCountDetectIndependently) {
   EXPECT_EQ(Server.triage().totalSightings(), WantSightings);
 }
 
-TEST(CollectorServerTest, ShardedSessionsMatchSerialDetection) {
-  const std::string LogPath = tempPath("server-sharded.bin");
-  const std::string SocketPath = tempPath("server-sharded.sock");
-  const Trace T = racyTrace();
-  writeSegmented(T, LogPath, 3);
-  const std::vector<uint8_t> Bytes = readFileBytes(LogPath);
-  const RaceReport Offline = detectOffline(T);
-
-  telemetry::MetricsRegistry Registry;
-  CollectorConfig Config;
-  Config.IngestSocketPath = SocketPath;
-  Config.Shards = 2; // Per-shard reports merge at session end.
-  Config.Metrics = &Registry;
-  CollectorServer Server(std::move(Config));
-  std::string Error;
-  ASSERT_TRUE(Server.start(&Error)) << Error;
-  streamToServer(SocketPath, Bytes, 64);
-  Server.waitForSessions(1);
-  Server.stop();
-
-  const std::vector<StaticRace> Expected = Offline.staticRaces();
-  const std::vector<TriagedRace> Live = Server.triage().races();
-  ASSERT_EQ(Live.size(), Expected.size());
-  for (size_t I = 0; I < Expected.size(); ++I) {
-    EXPECT_EQ(Live[I].Key, Expected[I].Key);
-    EXPECT_EQ(Live[I].DynamicCount, Expected[I].DynamicCount);
-  }
-  std::remove(LogPath.c_str());
-}
-
 TEST(CollectorServerTest, TruncatedConnectionSalvagesAndCompletes) {
   const std::string LogPath = tempPath("server-cut.bin");
   const std::string SocketPath = tempPath("server-cut.sock");

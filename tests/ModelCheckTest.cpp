@@ -11,8 +11,8 @@
 //   completeness  the production detectors flag exactly the addresses
 //                 the oracle finds racy (witness pairs may differ).
 //
-// Randomized traces cover lock/event/atomic/fork mixtures; a real
-// workload trace closes the loop end to end.
+// Randomized traces cover lock/event/atomic/fork mixtures; a real trace
+// of each of the 12 benchmark workloads closes the loop end to end.
 //
 //===----------------------------------------------------------------------===//
 
@@ -163,19 +163,35 @@ TEST(ModelCheckOracleTest, AccessCountsAreComplete) {
   EXPECT_EQ(Ref.accessesRecorded(), 3u);
 }
 
-TEST(ModelCheckWorkloadTest, HBDetectorIsSoundOnARealWorkloadTrace) {
-  // End-to-end soundness on a real (small) ConcRT Messaging run: every
-  // pair the production detector reports must be oracle-confirmed.
-  auto W = makeWorkload(WorkloadKind::ConcRTMessaging);
+class ModelCheckWorkloadTest : public ::testing::TestWithParam<WorkloadKind> {
+};
+
+TEST_P(ModelCheckWorkloadTest, HBDetectorIsSoundOnARealWorkloadTrace) {
+  // End to end on a real (small) run of every benchmark workload: HB
+  // reports a race on exactly the addresses the oracle finds racy, and
+  // every pair it reports is oracle-confirmed.
+  auto W = makeWorkload(GetParam());
   WorkloadParams Params;
   Params.Scale = 0.02;
   ExperimentRun Run = executeExperiment(*W, Params);
 
   RaceReport Oracle, HB;
-  ASSERT_TRUE(detectRacesReference(Run.TraceData, Oracle));
-  ASSERT_TRUE(detectRaces(Run.TraceData, HB));
-  expectSound(HB, Oracle, 0, "HBDetector(workload)");
-  EXPECT_EQ(HB.racyAddresses(), Oracle.racyAddresses());
+  ASSERT_TRUE(detectRacesReference(Run.TraceData, Oracle)) << W->name();
+  ASSERT_TRUE(detectRaces(Run.TraceData, HB)) << W->name();
+  expectSound(HB, Oracle, 0, W->name().c_str());
+  EXPECT_EQ(HB.racyAddresses(), Oracle.racyAddresses()) << W->name();
 }
+
+// Workloads seed real races, so the suite stays out of sanitizer builds
+// (tests/CMakeLists.txt filters it there).
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, ModelCheckWorkloadTest,
+    ::testing::Values(WorkloadKind::ChannelWithStdLib, WorkloadKind::Channel,
+                      WorkloadKind::ConcRTMessaging,
+                      WorkloadKind::ConcRTScheduling, WorkloadKind::Httpd1,
+                      WorkloadKind::Httpd2, WorkloadKind::BrowserStart,
+                      WorkloadKind::BrowserRender, WorkloadKind::LKRHash,
+                      WorkloadKind::LFList, WorkloadKind::SciComputeFn,
+                      WorkloadKind::SciComputeLoop));
 
 } // namespace

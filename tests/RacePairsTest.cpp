@@ -4,7 +4,7 @@
 //
 // Minimal program pairs — one trace with a race, one differing only in the
 // synchronization that removes it — pushed through EVERY detector backend
-// (serial HB, sharded HB, FastTrack, and the online sink), asserting the
+// (HB, FastTrack, and the online sink), asserting the
 // exact verdict on each. Each pair isolates one happens-before edge kind:
 // mutexes, release/acquire message passing, fork, join, and allocator
 // recycling. The suite is the detectors' ground-truth contract: a backend
@@ -16,7 +16,6 @@
 #include "detector/HBDetector.h"
 #include "detector/LogBuilder.h"
 #include "detector/OnlineDetector.h"
-#include "detector/ShardedDetector.h"
 
 #include <gtest/gtest.h>
 
@@ -34,17 +33,11 @@ constexpr uint64_t X = 0xabc0;
 constexpr Pc PcA = makePc(1, 1);
 constexpr Pc PcB = makePc(2, 2);
 
-/// Runs \p T through all four backends. Asserts they agree with each
+/// Runs \p T through all three backends. Asserts they agree with each
 /// other, and returns the serial verdict: the set of static race keys.
 std::set<StaticRaceKey> verdictAllBackends(const Trace &T) {
   RaceReport Serial;
   EXPECT_TRUE(detectRaces(T, Serial)) << "serial replay inconsistent";
-
-  RaceReport Sharded;
-  DetectorOptions Opts;
-  Opts.Shards = 4;
-  EXPECT_TRUE(detectRacesSharded(T, Sharded, Opts));
-  EXPECT_EQ(Sharded.keys(), Serial.keys()) << "sharded != serial";
 
   // FastTrack's epoch optimization can keep a different witness pair for
   // the same racy location, so the comparable unit is the address set.

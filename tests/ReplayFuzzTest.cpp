@@ -12,9 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "detector/HBDetector.h"
-#include "detector/LogBuilder.h"
 #include "detector/OnlineDetector.h"
-#include "detector/ShardedDetector.h"
 #include "support/SplitMix64.h"
 #include "sync/MonitoredAllocator.h"
 #include "sync/Primitives.h"
@@ -155,113 +153,6 @@ TEST_P(ReplayFuzzTest, RuntimeLogsAlwaysReplayConsistently) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayFuzzTest,
                          ::testing::Range<uint64_t>(1, 13));
-
-/// Builds one seeded random trace: 2-4 threads forked from thread 0 (and
-/// joined at the end), interleaved mutex lock/unlock, and memory reads and
-/// writes over a small address pool. The LogBuilder draws timestamps in
-/// call order, so the generation order IS the recorded interleaving and
-/// every trace is replay-consistent by construction. No real threads run,
-/// so this generator is sanitizer-safe.
-Trace randomBuiltTrace(uint64_t Seed) {
-  SplitMix64 Rng(Seed);
-  LogBuilder B(16);
-  const unsigned NumThreads = 2 + static_cast<unsigned>(Rng.nextBelow(3));
-  const unsigned Steps = 200 + static_cast<unsigned>(Rng.nextBelow(300));
-  const SyncVar Mutexes[3] = {makeSyncVar(SyncObjectKind::Mutex, 0x10),
-                              makeSyncVar(SyncObjectKind::Mutex, 0x20),
-                              makeSyncVar(SyncObjectKind::Mutex, 0x30)};
-
-  // Fork edges: parent releases a per-child fork var, child acquires it.
-  B.onThread(0).threadStart();
-  for (ThreadId Child = 1; Child <= NumThreads; ++Child) {
-    SyncVar Fork = makeSyncVar(SyncObjectKind::ThreadFork, Child);
-    B.onThread(0).release(Fork);
-    B.onThread(Child).threadStart().acquire(Fork);
-  }
-
-  std::vector<int> Held(NumThreads + 1, -1);
-  for (unsigned Step = 0; Step != Steps; ++Step) {
-    ThreadId Tid = static_cast<ThreadId>(Rng.nextBelow(NumThreads + 1));
-    B.onThread(Tid);
-    uint64_t Addr = 0x1000 + 8 * Rng.nextBelow(24);
-    uint32_t Site = static_cast<uint32_t>(Rng.nextBelow(16));
-    switch (Rng.nextBelow(6)) {
-    case 0:
-    case 1:
-      B.write(Addr, makePc(Tid, Site));
-      break;
-    case 2:
-    case 3:
-      B.read(Addr, makePc(Tid, Site));
-      break;
-    case 4: // Balanced lock/unlock per thread.
-      if (Held[Tid] < 0) {
-        Held[Tid] = static_cast<int>(Rng.nextBelow(3));
-        B.lock(Mutexes[Held[Tid]]);
-      } else {
-        B.unlock(Mutexes[Held[Tid]]);
-        Held[Tid] = -1;
-      }
-      break;
-    case 5: // Atomic-style acquire+release edge.
-      B.acqRel(makeSyncVar(SyncObjectKind::Atomic, 0x40 + Rng.nextBelow(2)));
-      break;
-    }
-  }
-  for (ThreadId Tid = 1; Tid <= NumThreads; ++Tid)
-    if (Held[Tid] >= 0)
-      B.onThread(Tid).unlock(Mutexes[Held[Tid]]);
-  if (Held[0] >= 0)
-    B.onThread(0).unlock(Mutexes[Held[0]]);
-
-  // Join edges mirror the forks.
-  for (ThreadId Child = 1; Child <= NumThreads; ++Child) {
-    SyncVar Join = makeSyncVar(SyncObjectKind::ThreadExit, Child);
-    B.onThread(Child).release(Join).threadEnd();
-    B.onThread(0).acquire(Join);
-  }
-  B.onThread(0).threadEnd();
-  return B.build();
-}
-
-class ShardedTraceFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ShardedTraceFuzz, SerialAndShardedReportsAreIdentical) {
-  Trace T = randomBuiltTrace(GetParam());
-  RaceReport Serial;
-  ASSERT_TRUE(detectRaces(T, Serial)) << "seed " << GetParam();
-  auto SerialRaces = Serial.staticRaces();
-  const std::string SerialText = Serial.describe();
-
-  for (unsigned Shards : {2u, 4u, 8u}) {
-    DetectorOptions Options;
-    Options.Shards = Shards;
-    RaceReport Sharded;
-    ASSERT_TRUE(detectRaces(T, Sharded, ReplayOptions(), Options))
-        << "seed " << GetParam() << " shards " << Shards;
-    EXPECT_EQ(Sharded.numDynamicSightings(), Serial.numDynamicSightings())
-        << "seed " << GetParam() << " shards " << Shards;
-    auto ShardedRaces = Sharded.staticRaces();
-    ASSERT_EQ(ShardedRaces.size(), SerialRaces.size())
-        << "seed " << GetParam() << " shards " << Shards;
-    for (size_t I = 0; I != SerialRaces.size(); ++I) {
-      EXPECT_EQ(ShardedRaces[I].Key, SerialRaces[I].Key);
-      EXPECT_EQ(ShardedRaces[I].DynamicCount, SerialRaces[I].DynamicCount);
-      EXPECT_EQ(ShardedRaces[I].ExampleAddr, SerialRaces[I].ExampleAddr);
-      EXPECT_EQ(ShardedRaces[I].FirstEventIndex,
-                SerialRaces[I].FirstEventIndex);
-      EXPECT_EQ(ShardedRaces[I].SawWriteWrite, SerialRaces[I].SawWriteWrite);
-    }
-    EXPECT_EQ(Sharded.describe(), SerialText)
-        << "seed " << GetParam() << " shards " << Shards;
-  }
-}
-
-// 100 seeds: the randomized differential-equivalence property of the
-// sharded pipeline (ISSUE 2). Traces are synthetic, so this also runs in
-// the TSan detector tier, where it race-checks the queues and workers.
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedTraceFuzz,
-                         ::testing::Range<uint64_t>(1, 101));
 
 //===----------------------------------------------------------------------===//
 // Chunk-split differential leg: the incremental scheduler against itself

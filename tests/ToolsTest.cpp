@@ -357,7 +357,7 @@ TEST(ToolsTest, StatEndToEndOnBrowserWorkload) {
   EXPECT_NE(RunOut.find(".metrics.json"), std::string::npos);
 
   auto [Code, Out] = runCommand(toolPath("literace-stat") + " " + Log +
-                                " --shards 2 --json " + MetricsOut +
+                                " --json " + MetricsOut +
                                 " --perfetto " + TraceOut);
   ASSERT_EQ(Code, 0) << Out;
   // The acceptance triple: nonzero sampled, unsampled, and elided
@@ -365,9 +365,9 @@ TEST(ToolsTest, StatEndToEndOnBrowserWorkload) {
   EXPECT_GT(statValue(Out, "runtime.sampled_activations"), 0) << Out;
   EXPECT_GT(statValue(Out, "runtime.unsampled_activations"), 0) << Out;
   EXPECT_GT(statValue(Out, "runtime.memops_elided"), 0) << Out;
-  // Trace-derived and detector-plane metrics join the same snapshot.
+  // Trace-derived metrics join the same snapshot.
   EXPECT_GT(statValue(Out, "trace.events"), 0) << Out;
-  EXPECT_GT(statValue(Out, "detector.shard0.memory_events"), 0) << Out;
+  EXPECT_GT(statValue(Out, "trace.sync_ops"), 0) << Out;
   EXPECT_NE(Out.find("hottest functions"), std::string::npos);
 
   // Both artifacts exist; the Perfetto file was validated structurally by
@@ -415,11 +415,8 @@ TEST(ToolsTest, ReportMetricsFlagWritesSnapshot) {
                        Log + " --mode literace --scale 0.05")
                 .first,
             0);
-  // --shards engages the sharded pipeline, whose detector-plane counters
-  // fold into the process registry and hence into metrics.json.
   auto [Code, Out] = runCommand(toolPath("literace-report") + " " + Log +
-                                " --quiet --shards 2 --metrics " +
-                                MetricsDir);
+                                " --quiet --metrics " + MetricsDir);
   EXPECT_LE(Code, 3) << Out; // Races may or may not be found.
   std::FILE *Metrics = std::fopen(MetricsOut.c_str(), "r");
   ASSERT_NE(Metrics, nullptr);
@@ -430,7 +427,9 @@ TEST(ToolsTest, ReportMetricsFlagWritesSnapshot) {
     Data.append(Buf, N);
   std::fclose(Metrics);
   EXPECT_NE(Data.find("literace.metrics.v1"), std::string::npos);
-  EXPECT_NE(Data.find("detector."), std::string::npos);
+  // Trace- and report-derived figures join the snapshot.
+  EXPECT_NE(Data.find("trace.events"), std::string::npos);
+  EXPECT_NE(Data.find("report.analysis_us"), std::string::npos);
   std::FILE *Trace = std::fopen(TraceOut.c_str(), "r");
   ASSERT_NE(Trace, nullptr);
   std::fclose(Trace);

@@ -12,7 +12,7 @@
 // Usage:
 //   literace-collectd <ingest-socket>
 //                     [--http-socket <path>] [--http <port>]
-//                     [--port-file <path>] [--shards <n>]
+//                     [--port-file <path>]
 //                     [--suppressions <file>] [--rate-limit <per-sec>]
 //                     [--rate-burst <n>] [--exit-after-clients <n>]
 //                     [--status-json <path>] [--races-json <path>]
@@ -22,8 +22,6 @@
 //                  triage via curl --unix-socket)
 //   --http         serve the HTTP endpoint on 127.0.0.1:<port>; 0 picks an
 //                  ephemeral port (printed, and written to --port-file)
-//   --shards       per-session detection shards (1 = serial; live
-//                  mid-session race updates need the serial detector)
 //   --suppressions Valgrind-style suppression file (docs/COLLECTOR.md)
 //   --rate-limit   per-race emitted updates per second once the burst is
 //                  spent (default 1; 0 = unlimited)
@@ -84,7 +82,7 @@ int usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s <ingest-socket> [--http-socket <path>] [--http <port>]\n"
-      "          [--port-file <path>] [--shards <n>]\n"
+      "          [--port-file <path>]\n"
       "          [--suppressions <file>] [--rate-limit <per-sec>]\n"
       "          [--rate-burst <n>] [--exit-after-clients <n>]\n"
       "          [--status-json <path>] [--races-json <path>] [--quiet]\n"
@@ -119,7 +117,6 @@ int main(int Argc, char **Argv) {
   std::string StatusJsonPath, RacesJsonPath;
   bool HttpTcp = false;
   uint16_t HttpPort = 0;
-  unsigned Shards = 1;
   double RateLimit = 1.0, RateBurst = 5.0;
   uint64_t ExitAfterClients = 0;
   bool Quiet = false;
@@ -139,10 +136,6 @@ int main(int Argc, char **Argv) {
       HttpPort = static_cast<uint16_t>(std::atoi(Argv[++I]));
     } else if (Arg == "--port-file" && I + 1 < Argc) {
       PortFilePath = Argv[++I];
-    } else if (Arg == "--shards" && I + 1 < Argc) {
-      Shards = static_cast<unsigned>(std::atoi(Argv[++I]));
-      if (Shards == 0)
-        Shards = 1;
     } else if (Arg == "--suppressions" && I + 1 < Argc) {
       SuppressionsPath = Argv[++I];
     } else if (Arg == "--rate-limit" && I + 1 < Argc) {
@@ -189,7 +182,6 @@ int main(int Argc, char **Argv) {
 
   CollectorConfig Config;
   Config.IngestSocketPath = IngestPath;
-  Config.Shards = Shards;
   Config.Suppressions = &Suppressions;
   Config.Triage.RatePerSec = RateLimit;
   Config.Triage.Burst = RateBurst;

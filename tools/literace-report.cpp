@@ -11,11 +11,8 @@
 //
 // Usage:
 //   literace-report <log.bin> [--detector hb|fasttrack|lockset]
-//                   [--shards <n>] [--rare-threshold-memops <n>] [--quiet]
-//                   [--salvage] [--strict]
-//
-// --shards=N runs the happens-before analysis on N parallel address-space
-// shards (docs/DETECTOR.md); the report is byte-identical to --shards=1.
+//                   [--suppress <file>] [--stats] [--quiet]
+//                   [--metrics <dir>] [--salvage] [--strict]
 //
 // Damaged logs: by default (--salvage) the reader recovers every intact
 // checksummed segment and the replay tolerates the resulting timestamp
@@ -46,7 +43,7 @@ namespace {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s <log.bin> [--detector hb|fasttrack|lockset] "
-               "[--shards <n>] [--suppress <file>] [--stats] [--quiet] "
+               "[--suppress <file>] [--stats] [--quiet] "
                "[--metrics <dir>] [--salvage] [--strict]\n"
                "--metrics writes <dir>/metrics.json and "
                "<dir>/trace.perfetto.json\n"
@@ -113,7 +110,6 @@ int main(int Argc, char **Argv) {
   bool Stats = false;
   bool Metrics = false;
   bool Salvage = true;
-  DetectorOptions DetOpts;
   std::set<Pc> Suppressed;
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -123,11 +119,6 @@ int main(int Argc, char **Argv) {
       Metrics = true;
       MetricsDir = Argv[++I];
     }
-    else if (Arg == "--shards" && I + 1 < Argc)
-      DetOpts.Shards = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (Arg.rfind("--shards=", 0) == 0)
-      DetOpts.Shards =
-          static_cast<unsigned>(std::atoi(Arg.c_str() + sizeof("--shards=") - 1));
     else if (Arg == "--quiet")
       Quiet = true;
     else if (Arg == "--stats")
@@ -183,15 +174,6 @@ int main(int Argc, char **Argv) {
                Path.c_str(), T->PerThread.size(), T->totalEvents(),
                T->memoryOps(), T->syncOps(), T->NumTimestampCounters);
 
-  if (DetOpts.Shards == 0)
-    DetOpts.Shards = 1;
-  if (DetOpts.Shards > 1 && Detector != "hb") {
-    std::fprintf(stderr, "note: --shards applies to the hb detector only; "
-                         "running %s serially\n",
-                 Detector.c_str());
-    DetOpts.Shards = 1;
-  }
-
   // A salvaged trace is missing sync events whose timestamps the replay
   // would otherwise wait on forever; let the scheduler skip those gaps
   // (the detectors conservatively over-order across each gap, so reported
@@ -207,10 +189,7 @@ int main(int Argc, char **Argv) {
   WallTimer Timer;
   bool Consistent;
   if (Detector == "hb") {
-    if (DetOpts.Shards > 1)
-      std::fprintf(stderr, "analyzing on %u address-space shards\n",
-                   DetOpts.Shards);
-    Consistent = detectRaces(*T, Report, Replay, DetOpts);
+    Consistent = detectRaces(*T, Report, Replay);
   } else if (Detector == "fasttrack") {
     Consistent = detectRacesFastTrack(*T, Report, Replay);
   } else if (Detector == "lockset") {

@@ -6,14 +6,12 @@
 // know about a run into one metrics snapshot and prints it — trace-derived
 // profile (TraceStats), the recording runtime's counters from the
 // <log>.metrics.json sidecar written by literace-run (sampled/unsampled
-// activations, elided ops, flush latencies, sampler back-offs), and
-// optionally a fresh sharded-detection pass whose pipeline counters
-// (per-shard queue high-water marks, park counts, merge time) join the
-// snapshot. Can export the merged snapshot as metrics.json and the trace
-// as a Chrome trace-event / Perfetto timeline.
+// activations, elided ops, flush latencies, sampler back-offs). Can
+// export the merged snapshot as metrics.json and the trace as a Chrome
+// trace-event / Perfetto timeline.
 //
 // Usage:
-//   literace-stat <log.bin> [--metrics <sidecar.json>]... [--shards <n>]
+//   literace-stat <log.bin> [--metrics <sidecar.json>]...
 //                 [--json <out.json>] [--prometheus <out.prom|->]
 //                 [--perfetto <out.json>] [--quiet]
 //
@@ -21,8 +19,6 @@
 //               when it exists). Repeatable: sidecars from multiple
 //               concurrent processes merge (counters add, gauges max),
 //               and their capture stamps order the merged snapshot
-//   --shards    run sharded happens-before detection with <n> shards and
-//               include detector-plane telemetry
 //   --json      write the merged snapshot (literace.metrics.v1 schema)
 //   --prometheus
 //               write the merged snapshot in Prometheus text-exposition
@@ -33,7 +29,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "detector/ShardedDetector.h"
 #include "runtime/EventLog.h"
 #include "runtime/TraceStats.h"
 #include "telemetry/Metrics.h"
@@ -43,7 +38,6 @@
 #include <vector>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -55,7 +49,7 @@ namespace {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s <log.bin> [--metrics <sidecar.json>]... "
-               "[--shards <n>] [--json <out.json>] "
+               "[--json <out.json>] "
                "[--prometheus <out.prom|->] "
                "[--perfetto <out.json>] [--quiet]\n",
                Argv0);
@@ -94,7 +88,6 @@ int main(int Argc, char **Argv) {
   std::string JsonOut;
   std::string PrometheusOut;
   std::string PerfettoOut;
-  unsigned Shards = 0;
   bool Quiet = false;
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -102,8 +95,6 @@ int main(int Argc, char **Argv) {
       SidecarPaths.push_back(Argv[++I]);
     else if (Arg == "--prometheus" && I + 1 < Argc)
       PrometheusOut = Argv[++I];
-    else if (Arg == "--shards" && I + 1 < Argc)
-      Shards = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (Arg == "--json" && I + 1 < Argc)
       JsonOut = Argv[++I];
     else if (Arg == "--perfetto" && I + 1 < Argc)
@@ -175,34 +166,6 @@ int main(int Argc, char **Argv) {
     Snap.setCounter("trace.segments.recovered",
                     Read.Stats.SegmentsRecovered);
     Snap.setCounter("trace.segments.dropped", Read.Stats.SegmentsDropped);
-  }
-
-  // Plane 3 (optional): a sharded detection pass over the log, so the
-  // pipeline's queue/stall behavior is measured on this machine.
-  if (Shards > 0) {
-    DetectorOptions DetOpts;
-    DetOpts.Shards = Shards;
-    ShardedHBDetector Detector(DetOpts);
-    const bool Ok = replayTrace(*T, Detector);
-    RaceReport Report;
-    Detector.finish(Report);
-    if (!Ok)
-      std::fprintf(stderr, "warning: log replay was inconsistent; "
-                           "detector telemetry covers the replayed "
-                           "prefix\n");
-    Snap.setCounter("report.static_races", Report.numStaticRaces());
-    for (unsigned I = 0; I != Detector.numShards(); ++I) {
-      const auto S = Detector.shardTelemetry(I);
-      const std::string Prefix =
-          "detector.shard" + std::to_string(I) + ".";
-      Snap.setCounter(Prefix + "memory_events", S.MemoryEvents);
-      Snap.setGauge(Prefix + "queue_highwater", S.QueueDepthHighWater);
-      Snap.setCounter(Prefix + "producer_parks", S.ProducerParks);
-      Snap.setCounter(Prefix + "consumer_parks", S.ConsumerParks);
-    }
-    // The registry-level fold (detector.* totals) happened in finish().
-    if (telemetry::MetricsRegistry *M = telemetry::resolveRegistry(nullptr))
-      Snap.merge(M->snapshot());
   }
 
   if (!Quiet) {
